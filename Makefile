@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow coverage lint lint-repro lint-ruff lint-mypy flow bench-smoke bench bench-store-smoke bench-store serve-smoke
+.PHONY: test test-slow coverage lint lint-repro lint-ruff lint-mypy flow bench-smoke bench-shapes bench bench-store-smoke bench-store serve-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -59,6 +59,17 @@ lint-mypy:
 # beats the legacy per-event path for all three models.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_perf_models.py -q -m bench_smoke -s
+
+# Behaviour oracle for the engine: the shape benches that consume the
+# workload models' event streams must keep their EXPERIMENTS.md claims.
+bench-shapes:
+	$(PYTHON) -m pytest -q \
+		benchmarks/bench_fig19_cache.py \
+		benchmarks/bench_ablation_p.py \
+		benchmarks/bench_ablation_cluster_sizes.py \
+		benchmarks/bench_ablation_feedback.py \
+		benchmarks/bench_ablation_analytical.py \
+		benchmarks/bench_robustness.py
 
 # Full reference benchmark (60k apps, 100k users, 1M downloads); appends
 # a record to BENCH_models.json.

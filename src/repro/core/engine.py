@@ -10,19 +10,18 @@ the alias method was chosen for.  This module batches the inner loop:
   ``user_ids`` / ``app_indices`` arrays) that replaces per-event objects
   on the hot path;
 - :class:`DownloadLedger` -- the fetch-at-most-once membership structure,
-  vectorized: a dense ``(n_users, n_apps)`` boolean matrix when it fits
-  the memory budget, a packed bitmap at one bit per cell when that fits,
-  and a per-user ``set`` fallback otherwise;
+  vectorized: a dense ``(n_users, n_apps)`` boolean matrix while it fits
+  :data:`DEFAULT_MEMORY_BUDGET`, otherwise a compact ``(n_users,
+  capacity)`` matrix of each user's downloaded app ids;
 - :func:`masked_head_tail_draw` -- the near-rejection-free sampling
   kernel: the top-``K`` head of the distribution is renormalized exactly
-  against each user's ownership bits (one packed-ledger byte), and tail
-  picks from the alias table are thinned against the ledger -- a
-  near-certain accept, so redraw loops all but disappear;
-- :func:`sample_new_apps` -- the legacy rejection kernel, kept for
-  callers that need ``available`` masks or acceptance thinning (the
-  feedback and behavior models): draw candidate apps for a whole batch
-  of user slots, reject already-downloaded (and intra-batch duplicate)
-  picks vectorized, retry up to ``max_rejections`` times;
+  against each user's ownership byte, and tail picks from the alias
+  table are thinned against the ledger -- a near-certain accept, so
+  redraw loops all but disappear;
+- :func:`sample_new_apps` -- the rejection kernel of the feedback model,
+  whose chart changes at every refresh: draw candidate apps for a whole
+  window of user slots, reject already-downloaded (and intra-batch
+  duplicate) picks vectorized, retry up to ``max_rejections`` times;
 - ``*_event_batches`` generators -- the three models of
   :mod:`repro.core.models` expressed as chunked batch streams.  The
   fetch-at-most-once streams are round-vectorized: round ``k`` serves
@@ -39,7 +38,7 @@ asserts this); only the interleaving of *independent* users differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Mapping, Optional, Set
+from typing import Callable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -50,9 +49,9 @@ from repro.stats.sampling import AliasSampler, HeadTailSampler
 #: Default number of download slots processed per vectorized chunk.
 DEFAULT_BATCH_SIZE = 65_536
 
-#: Default ceiling on the ledger's membership structure, in bytes.  A
-#: dense boolean matrix is used when ``n_users * n_apps`` fits; a packed
-#: bitmap when an eighth of that fits; otherwise per-user sets.
+#: Largest dense ledger, in cells (one byte each): a ledger whose
+#: ``n_users * n_apps`` fits stores a boolean matrix, a larger one the
+#: compact owned-apps matrix.
 DEFAULT_MEMORY_BUDGET = 1 << 30
 
 
@@ -114,64 +113,43 @@ class EventBatch:
 class DownloadLedger:
     """Vectorized fetch-at-most-once bookkeeping for a user population.
 
-    Three storage modes, picked by memory footprint against
-    ``memory_budget_bytes`` (or forced via ``mode=`` for testing):
+    ``capacity`` bounds how many apps any one user may download; the
+    budgeted streams know it before drawing (:func:`_budget_capacity`),
+    and recording more raises ``ValueError``.  The backend follows from
+    the shape:
 
     - ``"dense"`` -- ``(n_users, n_apps)`` boolean matrix, one byte per
-      cell; fastest lookups.
-    - ``"packed"`` -- ``(n_users, ceil(n_apps / 8))`` ``uint8`` bitmap,
-      one *bit* per cell; an eighth of the memory for a couple of extra
-      shifts per lookup.  This is what the paper-scale reference store
-      (60k apps x 100k users) lands on under the default 1 GiB budget.
+      cell, used while ``n_users * n_apps`` fits
+      :data:`DEFAULT_MEMORY_BUDGET`; fastest lookups.
     - ``"compact"`` -- a ``(n_users, capacity)`` ``int32`` matrix of each
-      user's downloaded app ids (``-1`` padded), available when the
-      caller knows an upper bound on downloads per user (the budgeted
-      streams always do).  At paper scale this is a few MB against the
-      bitmap's hundreds -- the whole structure stays cache-resident, and
-      sparse tail downloads stop page-faulting across a giant address
-      space.  Head-ownership bitmasks for registered top-``K`` app lists
-      (see :meth:`head_bits`) are maintained as contiguous per-head rows.
-    - ``"sets"`` -- one Python ``set`` per user; O(events) memory, used
-      when even the bitmap would not fit.
+      user's downloaded app ids in download order, ``-1`` padded.  At
+      paper scale (60k apps x 100k users) this is a few MB against the
+      dense matrix's 6 GB, so the whole structure stays cache-resident.
+      Ownership of registered top-``K`` head lists (see
+      :meth:`head_bytes`) is kept as one contiguous ``uint8`` row per
+      head.
 
-    All modes consume no randomness and implement identical semantics, so
-    simulation output is bit-for-bit identical across modes (tested).
+    Both backends consume no randomness and answer identically, so
+    simulation output is bit-for-bit identical across them (tested).
     """
 
-    _MODES = ("dense", "packed", "compact", "sets")
-
-    def __init__(
-        self,
-        n_users: int,
-        n_apps: int,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-        mode: Optional[str] = None,
-        capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, n_users: int, n_apps: int, capacity: int) -> None:
         if n_users < 1 or n_apps < 1:
             raise ValueError("n_users and n_apps must be positive")
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive when given")
-        if mode is None:
-            mode = self._select_mode(
-                n_users, n_apps, memory_budget_bytes, capacity
-            )
-        if mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {mode!r}")
-        if mode == "compact" and capacity is None:
-            raise ValueError("compact mode requires a per-user capacity")
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
         self.n_users = n_users
         self.n_apps = n_apps
-        self.mode = mode
         self.capacity = capacity
+        self.mode = (
+            "dense" if n_users * n_apps <= DEFAULT_MEMORY_BUDGET else "compact"
+        )
         #: Number of distinct apps each user has downloaded.
         self.counts = np.zeros(n_users, dtype=np.int64)
         #: Total recorded downloads (drives the late-registration rebuild).
         self._n_events = 0
         self._dense: Optional[np.ndarray] = None
-        self._packed: Optional[np.ndarray] = None
         self._owned: Optional[np.ndarray] = None
-        self._sets: Optional[List[Set[int]]] = None
         # Registered head lists (compact mode): per-head uint8 mask rows
         # plus app -> (head row, bit) tables so adds keep masks current.
         self._head_rows: dict = {}
@@ -179,195 +157,71 @@ class DownloadLedger:
         self._head_masks: Optional[np.ndarray] = None
         self._head_slot_row: Optional[np.ndarray] = None
         self._head_slot_bit: Optional[np.ndarray] = None
-        if mode == "dense":
+        if self.mode == "dense":
             self._dense = np.zeros((n_users, n_apps), dtype=bool)
-        elif mode == "compact":
-            assert capacity is not None
-            self._owned = np.full((n_users, capacity), -1, dtype=np.int32)
-        elif mode == "packed":
-            # Byte-column major: row ``b`` holds bit-byte ``b`` of every
-            # user.  Apps are Zipf-popular, so almost all lookups hit the
-            # first few hundred byte columns; this layout keeps that hot
-            # set contiguous (a few dozen MB at paper scale) instead of
-            # strided across the whole bitmap, and makes the head
-            # kernel's byte-0 gather a sequential read.
-            self._packed = np.zeros(((n_apps + 7) // 8, n_users), dtype=np.uint8)
         else:
-            self._sets = [set() for _ in range(n_users)]
-
-    @classmethod
-    def _select_mode(
-        cls,
-        n_users: int,
-        n_apps: int,
-        memory_budget_bytes: int,
-        capacity: Optional[int],
-    ) -> str:
-        """Pick the backend from actual footprints against the budget.
-
-        Dense wins while it fits (fastest lookups).  Otherwise, of the
-        two sub-dense array backends that fit -- the packed bitmap and,
-        when a per-user ``capacity`` is known, the compact owned-apps
-        matrix -- the smaller one wins; at paper scale compact is
-        hundreds of times smaller and entirely cache-resident.  Sets are
-        the last resort.
-        """
-        if cls.backend_bytes("dense", n_users, n_apps) <= memory_budget_bytes:
-            return "dense"
-        candidates = []
-        packed_bytes = cls.backend_bytes("packed", n_users, n_apps)
-        if packed_bytes <= memory_budget_bytes:
-            candidates.append((packed_bytes, "packed"))
-        if capacity is not None:
-            compact_bytes = cls.backend_bytes(
-                "compact", n_users, n_apps, capacity
-            )
-            if compact_bytes <= memory_budget_bytes:
-                candidates.append((compact_bytes, "compact"))
-        if candidates:
-            return min(candidates)[1]
-        return "sets"
-
-    @staticmethod
-    def backend_bytes(
-        mode: str, n_users: int, n_apps: int, capacity: Optional[int] = None
-    ) -> int:
-        """Exact allocation of a membership backend, in bytes.
-
-        Mode selection used to estimate the packed bitmap as
-        ``n_users * n_apps // 8``, which undercounts the per-row byte
-        padding: the bitmap really allocates ``ceil(n_apps / 8)`` bytes
-        per user.  The ``counts`` vector is excluded -- every mode
-        carries it, so it cannot change which backend fits a budget.
-        For ``"sets"`` this is the empty-structure baseline (one empty
-        ``set`` per user); set storage grows with recorded events, which
-        :meth:`footprint_bytes` accounts for.
-        """
-        if mode == "dense":
-            return n_users * n_apps
-        if mode == "packed":
-            return n_users * ((n_apps + 7) // 8)
-        if mode == "compact":
-            if capacity is None:
-                raise ValueError("compact footprint requires a capacity")
-            return n_users * capacity * 4
-        if mode == "sets":
-            import sys
-
-            return n_users * sys.getsizeof(set())
-        raise ValueError(f"unknown ledger mode: {mode!r}")
-
-    def footprint_bytes(self) -> int:
-        """Actual current footprint of the membership structure, in bytes."""
-        if self._dense is not None:
-            return self._dense.nbytes
-        if self._packed is not None:
-            return self._packed.nbytes
-        if self._owned is not None:
-            masks = 0 if self._head_masks is None else self._head_masks.nbytes
-            return self._owned.nbytes + masks
-        sets = self._sets
-        assert sets is not None
-        import sys
-
-        return sum(sys.getsizeof(entries) for entries in sets)
+            self._owned = np.full((n_users, capacity), -1, dtype=np.int32)
 
     def contains(self, users: np.ndarray, apps: np.ndarray) -> np.ndarray:
         """Boolean mask: has ``users[i]`` already downloaded ``apps[i]``?"""
         if self._dense is not None:
             return self._dense[users, apps]
-        if self._packed is not None:
-            bytes_ = self._packed[apps >> 3, users]
-            return ((bytes_ >> (apps & 7).astype(np.uint8)) & 1).astype(bool)
-        if self._owned is not None:
-            rows = self._owned[users]
-            # asarray is a no-copy view when callers already pass int32
-            # (the fused kernel's tail draws do).
-            return (rows == np.asarray(apps, dtype=np.int32)[:, None]).any(
-                axis=1
-            )
-        sets = self._sets
-        assert sets is not None
-        return np.fromiter(
-            (app in sets[user] for user, app in zip(users.tolist(), apps.tolist())),
-            dtype=bool,
-            count=users.size,
-        )
+        assert self._owned is not None
+        rows = self._owned[users]
+        # asarray is a no-copy view when callers already pass int32 (the
+        # fused kernel's tail draws do).
+        return (rows == np.asarray(apps, dtype=np.int32)[:, None]).any(axis=1)
 
     def add(self, users: np.ndarray, apps: np.ndarray) -> None:
-        """Record downloads.  Pairs must be new and free of duplicates."""
+        """Record downloads.  Pairs must be new and free of duplicates.
+
+        A user may appear several times (the rejection kernel commits a
+        whole refresh window at once).  One stable sort by user ranks
+        each pair within its user's run; pairs of equal rank belong to
+        distinct users, so each rank commits as one :meth:`add_unique`,
+        and every pair lands in the slot a one-at-a-time commit in input
+        order would give it.  Either every pair fits the capacity or
+        none is recorded.
+        """
         if users.size == 0:
             return
-        if self._owned is not None:
-            if np.unique(users).size == users.size:
-                self.add_unique(users, apps)
-            else:
-                # Repeated users need sequential slot assignment; this is
-                # the compatibility path, the budgeted streams never
-                # repeat a user within a call.
-                owned = self._owned
-                for user, app in zip(users.tolist(), apps.tolist()):
-                    self._check_capacity_one(user)
-                    owned[user, self.counts[user]] = app
-                    self.counts[user] += 1
-                self._n_events += users.size
-                self._update_head_masks(users, apps)
-            return
-        self._n_events += users.size
-        np.add.at(self.counts, users, 1)
-        if self._dense is not None:
-            self._dense[users, apps] = True
-        elif self._packed is not None:
-            bits = (np.uint8(1) << (apps & 7).astype(np.uint8)).astype(np.uint8)
-            np.bitwise_or.at(self._packed, (apps >> 3, users), bits)
-        else:
-            sets = self._sets
-            assert sets is not None
-            for user, app in zip(users.tolist(), apps.tolist()):
-                sets[user].add(app)
+        order = np.argsort(users, kind="stable")
+        users, apps = users[order], apps[order]
+        starts = np.flatnonzero(np.diff(users, prepend=-1))
+        lengths = np.diff(starts, append=users.size)
+        self._check_capacity(self.counts[users[starts]] + lengths)
+        rank = np.arange(users.size) - np.repeat(starts, lengths)
+        for level in range(int(lengths.max())):
+            at = rank == level
+            self.add_unique(users[at], apps[at])
 
     def add_unique(self, users: np.ndarray, apps: np.ndarray) -> None:
         """Record downloads for *distinct* users (one pair per user).
 
         The round-vectorized streams serve at most one download per user
-        per kernel call, so ``users`` carries no duplicates and the
-        scatter can be a direct fancy-index store instead of the
-        ``np.add.at`` / ``np.bitwise_or.at`` unbuffered loops -- the
-        difference is a few milliseconds per 65k-slot round.
+        per kernel call, so ``users`` carries no duplicates and every
+        scatter is a direct fancy-index store.
         """
         if users.size == 0:
             return
+        slots = self.counts[users]
+        filled = slots + 1
+        self._check_capacity(filled)
         self._n_events += users.size
-        if self._owned is not None:
-            slots = self.counts[users]
-            if int(slots.max()) >= self._owned.shape[1]:
-                raise ValueError(
-                    "compact ledger capacity exceeded; construct with a "
-                    "larger per-user capacity"
-                )
-            self._owned[users, slots] = apps
-            self.counts[users] = slots + 1
-            self._update_head_masks(users, apps)
-            return
-        self.counts[users] += 1
+        self.counts[users] = filled
         if self._dense is not None:
             self._dense[users, apps] = True
-        elif self._packed is not None:
-            columns = apps >> 3
-            bits = (np.uint8(1) << (apps & 7).astype(np.uint8)).astype(np.uint8)
-            self._packed[columns, users] |= bits
-        else:
-            sets = self._sets
-            assert sets is not None
-            for user, app in zip(users.tolist(), apps.tolist()):
-                sets[user].add(app)
-
-    def _check_capacity_one(self, user: int) -> None:
+            return
         assert self._owned is not None
-        if self.counts[user] >= self._owned.shape[1]:
+        self._owned[users, slots] = apps
+        self._update_head_masks(users, apps)
+
+    def _check_capacity(self, filled: np.ndarray) -> None:
+        """Raise before recording when a user would exceed ``capacity``."""
+        if int(filled.max()) > self.capacity:
             raise ValueError(
-                "compact ledger capacity exceeded; construct with a "
-                "larger per-user capacity"
+                "ledger capacity exceeded; construct with a larger "
+                "per-user capacity"
             )
 
     def _register_head(self, apps: np.ndarray) -> int:
@@ -458,145 +312,47 @@ class DownloadLedger:
                 1, apps[hit]
             ]
 
-    def head_bits(self, users: np.ndarray, apps: np.ndarray) -> np.ndarray:
-        """Ownership bits for a fixed app list: ``out[k, i]`` is 1 when
-        ``users[i]`` already downloaded ``apps[k]``.
+    def head_bytes(self, users: np.ndarray, apps: np.ndarray) -> np.ndarray:
+        """Per-user ownership byte for one head list of at most 8 apps.
 
-        This is the gather the masked head kernel leans on.  In packed
-        mode, when every head app falls in the same bitmap byte (true for
-        a contiguous top-``K <= 8`` head), the whole matrix comes from a
-        single byte-per-user gather plus shifts.
+        Bit ``j`` of ``out[i]`` says ``users[i]`` already downloaded
+        ``apps[j]`` -- the gather the masked head kernel leans on.  The
+        compact backend keeps the byte as a registered mask row (heads
+        register on first use); the dense backend packs it from ``k``
+        column gathers.
         """
-        n = users.size
-        k = apps.size
-        out = np.empty((k, n), dtype=np.uint8)
-        if self._packed is not None:
-            columns = apps >> 3
-            shifts = (apps & 7).astype(np.uint8)
-            if k and np.all(columns == columns[0]):
-                chunk = self._packed[columns[0], users]
-                for j in range(k):
-                    out[j] = (chunk >> shifts[j]) & 1
-            else:
-                for j in range(k):
-                    out[j] = (self._packed[columns[j], users] >> shifts[j]) & 1
-            return out
         if self._dense is not None:
-            for j in range(k):
-                out[j] = self._dense[users, apps[j]]
+            out = np.zeros(users.size, dtype=np.uint8)
+            for j, app in enumerate(apps.tolist()):
+                out |= self._dense[users, app].view(np.uint8) << np.uint8(j)
             return out
-        if self._owned is not None:
-            row = self._head_rows.get(apps.tobytes())
-            if row is None:
-                row = self._register_head(apps)
-            assert self._head_masks is not None
-            chunk = self._head_masks[row, users]
-            for j in range(k):
-                out[j] = (chunk >> np.uint8(j)) & 1
-            return out
-        sets = self._sets
-        assert sets is not None
-        apps_list = apps.tolist()
-        for i, user in enumerate(users.tolist()):
-            owned = sets[user]
-            for j, app in enumerate(apps_list):
-                out[j, i] = app in owned
-        return out
-
-    def head_bits_grouped(
-        self,
-        users: np.ndarray,
-        head_apps: np.ndarray,
-        group_ids: np.ndarray,
-    ) -> np.ndarray:
-        """Ownership bits when each user draws from its *own* head list.
-
-        ``head_apps`` is a ``(n_groups, k)`` matrix of app ids -- one head
-        list per group -- and ``group_ids[i]`` names the group of
-        ``users[i]``.  Returns the same ``(k, n)`` layout as
-        :meth:`head_bits`.  This is the gather behind the fused clustered
-        kernel: one call covers every cluster in a round instead of one
-        :meth:`head_bits` call per cluster.  All storage modes answer
-        identically (compact reads one registered mask row per group;
-        the others gather per head slot), so output stays bit-identical
-        across modes.
-        """
-        n = users.size
-        n_groups, k = head_apps.shape
-        out = np.empty((k, n), dtype=np.uint8)
-        if self._owned is not None:
-            chunk = self.head_bytes_grouped(users, head_apps, group_ids)
-            assert chunk is not None
-            for j in range(k):
-                out[j] = (chunk >> np.uint8(j)) & 1
-            return out
-        if self._dense is not None:
-            for j in range(k):
-                out[j] = self._dense[users, head_apps[group_ids, j]]
-            return out
-        if self._packed is not None:
-            for j in range(k):
-                apps_j = head_apps[group_ids, j]
-                out[j] = (
-                    self._packed[apps_j >> 3, users]
-                    >> (apps_j & 7).astype(np.uint8)
-                ) & 1
-            return out
-        sets = self._sets
-        assert sets is not None
-        groups_list = group_ids.tolist()
-        for i, user in enumerate(users.tolist()):
-            owned = sets[user]
-            group = groups_list[i]
-            for j in range(k):
-                out[j, i] = int(head_apps[group, j]) in owned
-        return out
-
-    def head_bytes(
-        self, users: np.ndarray, apps: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Per-user ownership byte for one head list, or ``None``.
-
-        Bit ``j`` of ``out[i]`` says ``users[i]`` owns ``apps[j]`` --
-        :meth:`head_bits` packed into one ``uint8``.  Available when the
-        backend already stores the byte (compact mask rows; the packed
-        bitmap when the whole head shares a byte column); other layouts
-        return ``None`` and the caller packs :meth:`head_bits` itself,
-        which yields the same byte, so streams stay identical across
-        modes.
-        """
-        if self._owned is not None:
-            row = self._head_rows.get(apps.tobytes())
-            if row is None:
-                row = self._register_head(apps)
-            assert self._head_masks is not None
-            return self._head_masks[row, users]
-        if self._packed is not None and apps.size:
-            columns = apps >> 3
-            if np.all(columns == columns[0]) and np.array_equal(
-                apps & 7, np.arange(apps.size, dtype=apps.dtype)
-            ):
-                return self._packed[columns[0], users]
-        return None
+        row = self._head_rows.get(apps.tobytes())
+        if row is None:
+            row = self._register_head(apps)
+        assert self._head_masks is not None
+        return self._head_masks[row, users]
 
     def head_bytes_grouped(
         self,
         users: np.ndarray,
         head_apps: np.ndarray,
         group_ids: np.ndarray,
-    ) -> Optional[np.ndarray]:
-        """Per-user ownership *byte* for per-group head lists, or ``None``.
+    ) -> np.ndarray:
+        """Per-user ownership byte when each user draws from its group's head.
 
-        Same semantics as :meth:`head_bits_grouped` with the ``k`` bits
-        packed into one ``uint8`` per user (bit ``j`` = owns
-        ``head_apps[group_ids[i], j]``).  Only the compact backend keeps
-        head ownership pre-packed; other modes return ``None`` and the
-        caller unpacks via :meth:`head_bits_grouped` -- the resulting
-        arithmetic is identical either way, so streams stay bit-identical
-        across modes.
+        ``head_apps`` is a ``(n_groups, k)`` matrix of app ids -- one head
+        list per group -- and ``group_ids[i]`` names the group of
+        ``users[i]``; bit ``j`` of ``out[i]`` says ``users[i]`` owns
+        ``head_apps[group_ids[i], j]``.  This is the gather behind the
+        fused clustered kernel: one call covers every cluster in a round
+        instead of one :meth:`head_bytes` call per cluster.
         """
-        if self._owned is None:
-            return None
+        if self._dense is not None:
+            out = np.zeros(users.size, dtype=np.uint8)
+            for j in range(head_apps.shape[1]):
+                apps_j = head_apps[group_ids, j]
+                out |= self._dense[users, apps_j].view(np.uint8) << np.uint8(j)
+            return out
         n_groups = head_apps.shape[0]
         key = head_apps.tobytes()
         rows = self._grouped_rows.get(key)
@@ -702,10 +458,7 @@ def sample_new_apps(
     draw: Callable[[int], np.ndarray],
     users: np.ndarray,
     ledger: DownloadLedger,
-    rng: np.random.Generator,
     max_rejections: int,
-    available: Optional[np.ndarray] = None,
-    accept_probability: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Draw one not-yet-downloaded app per user slot, vectorized.
 
@@ -714,10 +467,6 @@ def sample_new_apps(
     (several pending slots of the same user); intra-batch duplicates are
     rejected alongside ledger hits, so fetch-at-most-once holds exactly.
     Accepted pairs are recorded into the ledger immediately.
-
-    ``available`` (boolean per app) rejects draws of unlisted apps;
-    ``accept_probability`` (float per app) thins accepted draws, modelling
-    selective uptake (e.g. paid apps skipped during casual browsing).
 
     Returns an ``int64`` array aligned with ``users``; ``-1`` marks slots
     for which no new app was found within ``max_rejections`` attempts.
@@ -734,13 +483,6 @@ def sample_new_apps(
             retry_counter.add(1)
         draws = draw(pending.size)
         ok = ~ledger.contains(users[pending], draws)
-        if available is not None:
-            ok &= available[draws]
-        if accept_probability is not None:
-            probs = accept_probability[draws]
-            thin = probs < 1.0
-            if np.any(thin & ok):
-                ok &= (~thin) | (rng.random(pending.size) < probs)
         # Reject intra-batch duplicates: among slots surviving so far,
         # only the first occurrence of each (user, app) pair may commit.
         keys = users[pending] * np.int64(ledger.n_apps) + draws
@@ -793,8 +535,8 @@ def masked_head_tail_draw(
     ``1 - owned_tail_mass / (masked_head_mass + tail_mass)`` -- near one
     for Zipf-shaped inputs, where ownership concentrates in the head.
 
-    Ledger storage modes consume no randomness and return identical
-    bits, so output is bit-identical across modes.  Returns ``-1`` for
+    Both ledger backends consume no randomness and return identical
+    bytes, so output is bit-identical across them.  Returns ``-1`` for
     users with nothing left to draw (or, pathologically, users that
     exhaust ``max_rejections`` while owning almost the whole tail);
     failures are counted under ``engine.events_unfilled`` by the stream.
@@ -806,20 +548,11 @@ def masked_head_tail_draw(
     if n == 0:
         return apps
     head = sampler.head
-    k = head.size
     # Per-user renormalization collapses to table lookups: the masked
     # cumulative head weights depend only on the user's 8-bit ownership
-    # byte (see HeadTailSampler.head_byte_tables).  Backends that store
-    # the byte hand it over directly; others pack it from the bit
-    # matrix -- the same byte either way, so streams stay bit-identical
-    # across ledger modes.
+    # byte (see HeadTailSampler.head_byte_tables).
     cum_table, avail_table = sampler.head_byte_tables()
     chunk = ledger.head_bytes(users, head)
-    if chunk is None:
-        bits = ledger.head_bits(users, head)
-        chunk = bits[0].copy()
-        for j in range(1, k):
-            chunk |= bits[j] << np.uint8(j)
     head_avail = avail_table[chunk]
     total = head_avail + np.float32(sampler.tail_weight)
     if sampler.has_tail:
@@ -900,20 +633,12 @@ def masked_head_tail_draw_grouped(
     apps = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return apps
-    k = rank_sampler.head_size
     # Shared rank-space weights mean the masked renormalization depends
     # only on each user's 8-bit ownership byte -- two table gathers
     # replace the per-user cumulative loop (see
-    # HeadTailSampler.head_byte_tables).  Compact ledgers hand the byte
-    # over directly; other modes pack it from the bit matrix, producing
-    # the same byte, so streams stay bit-identical across storage modes.
+    # HeadTailSampler.head_byte_tables).
     cum_table, avail_table = rank_sampler.head_byte_tables()
     chunk = ledger.head_bytes_grouped(users, head_apps, group_ids)
-    if chunk is None:
-        bits = ledger.head_bits_grouped(users, head_apps, group_ids)
-        chunk = bits[0].copy()
-        for j in range(1, k):
-            chunk |= bits[j] << np.uint8(j)
     head_avail = avail_table[chunk]
     total = head_avail + np.float32(rank_sampler.tail_weight)
     if rank_sampler.has_tail:
@@ -997,48 +722,6 @@ def _shared_cluster_structure(
     return rank_sampler, tail_members, head_apps
 
 
-def sample_clustered_new_apps(
-    slots: np.ndarray,
-    users: np.ndarray,
-    chosen_clusters: np.ndarray,
-    cluster_samplers: Mapping[int, AliasSampler],
-    cluster_members: Mapping[int, np.ndarray],
-    ledger: DownloadLedger,
-    rng: np.random.Generator,
-    max_rejections: int,
-    out: np.ndarray,
-    available: Optional[np.ndarray] = None,
-    accept_probability: Optional[np.ndarray] = None,
-) -> None:
-    """Clustered draws for a batch of slots, grouped by chosen cluster.
-
-    ``slots`` indexes into ``out`` (and aligns with ``users`` /
-    ``chosen_clusters``).  Each slot draws from its cluster's internal
-    Zipf law via the shared rejection kernel; failures stay ``-1`` in
-    ``out`` and the caller decides the fallback (the models fall back to
-    the global law, per Section 5.1).
-    """
-    # One iteration per *cluster*, not per event: the distinct-cluster
-    # count is tiny next to the batch the kernel vectorizes over.
-    for cluster in np.unique(chosen_clusters):  # repro: noqa=RPL020 -- grouped dispatch, O(n_clusters) not O(n_events)
-        sampler = cluster_samplers.get(int(cluster))
-        if sampler is None:  # empty cluster: nothing to draw
-            continue
-        members = cluster_members[int(cluster)]
-        group = chosen_clusters == cluster
-        group_slots = slots[group]
-        drawn = sample_new_apps(
-            lambda size: members[sampler.sample(size, seed=rng)],
-            users[group],
-            ledger,
-            rng,
-            max_rejections,
-            available=available,
-            accept_probability=accept_probability,
-        )
-        out[group_slots] = drawn
-
-
 class VisitedClusters:
     """Per-user visited-cluster lists, vectorized.
 
@@ -1076,26 +759,15 @@ class VisitedClusters:
     def choose(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Uniformly pick one visited cluster per user (counts must be > 0).
 
+        Draws float32 uniforms (cheaper to generate than float64).
         Returns the lists' native narrow dtype; cluster ids index small
         per-cluster tables downstream, where narrow indices are cheaper.
         """
         counts = self._count[users]
-        picks = (rng.random(users.size) * counts).astype(np.int64)
-        np.minimum(picks, counts - 1, out=picks)  # guard the r == 1.0 edge
-        return self._lists[users, picks]
-
-    def choose_fast(
-        self, users: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """:meth:`choose` with float32 uniforms -- cheaper to generate,
-        same clamp guard, but a different (equally uniform) stream; the
-        round-vectorized clustering stream uses it, while :meth:`choose`
-        keeps the historical stream for existing callers."""
-        counts = self._count[users]
         picks = (rng.random(users.size, dtype=np.float32) * counts).astype(
             np.int64
         )
-        np.minimum(picks, counts - 1, out=picks)
+        np.minimum(picks, counts - 1, out=picks)  # guard the r == 1.0 edge
         return self._lists[users, picks]
 
     def record(self, users: np.ndarray, clusters: np.ndarray) -> None:
@@ -1157,8 +829,6 @@ def zipf_amo_event_batches(
     rng: np.random.Generator,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_rejections: int = 256,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-    ledger_mode: Optional[str] = None,
     head_tail: Optional[HeadTailSampler] = None,
 ) -> Iterator[EventBatch]:
     """ZIPF-at-most-once downloads as a round-vectorized batch stream.
@@ -1178,11 +848,7 @@ def zipf_amo_event_batches(
     event_counter = metrics.counter("engine.events")
     unfilled_counter = metrics.counter("engine.events_unfilled")
     ledger = DownloadLedger(
-        n_users,
-        sampler.n_outcomes,
-        memory_budget_bytes,
-        mode=ledger_mode,
-        capacity=_budget_capacity(total_downloads, n_users),
+        n_users, sampler.n_outcomes, _budget_capacity(total_downloads, n_users)
     )
     if head_tail is None:
         head_tail = HeadTailSampler(sampler.probabilities)
@@ -1256,8 +922,6 @@ def app_clustering_event_batches(
     cluster_of: np.ndarray,
     rng: np.random.Generator,
     max_rejections: int = 64,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-    ledger_mode: Optional[str] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     global_head_tail: Optional[HeadTailSampler] = None,
     cluster_head_tails: Optional[Mapping[int, HeadTailSampler]] = None,
@@ -1280,11 +944,7 @@ def app_clustering_event_batches(
     unfilled_counter = metrics.counter("engine.events_unfilled")
     n_apps = cluster_of.size
     ledger = DownloadLedger(
-        n_users,
-        n_apps,
-        memory_budget_bytes,
-        mode=ledger_mode,
-        capacity=_budget_capacity(total_downloads, n_users),
+        n_users, n_apps, _budget_capacity(total_downloads, n_users)
     )
     budgets = per_user_budgets(total_downloads, n_users, rng)
     n_clusters = int(cluster_of.max()) + 1 if n_apps else 1
@@ -1337,7 +997,7 @@ def app_clustering_event_batches(
         slots = np.flatnonzero(clustered)
         if slots.size and fused is not None:
             rank_sampler, tail_members, head_apps = fused
-            chosen = visited.choose_fast(active[slots], rng)
+            chosen = visited.choose(active[slots], rng)
             apps[slots] = masked_head_tail_draw_grouped(
                 rank_sampler,
                 active[slots],
@@ -1349,7 +1009,7 @@ def app_clustering_event_batches(
                 max_rejections,
             )
         elif slots.size:
-            chosen = visited.choose_fast(active[slots], rng)
+            chosen = visited.choose(active[slots], rng)
             order = np.argsort(chosen.astype(group_dtype), kind="stable")
             grouped_slots = slots[order]
             grouped_users = active[grouped_slots]

@@ -35,10 +35,10 @@ from typing import Iterator, List, Optional, Set
 import numpy as np
 
 from repro.core.engine import (
-    DEFAULT_MEMORY_BUDGET,
     DownloadEvent,
     DownloadLedger,
     EventBatch,
+    _budget_capacity,
     counts_from_batches,
     events_from_batches,
     interleaved_user_order,
@@ -115,12 +115,7 @@ class RecommenderFeedbackModel:
         """Per-app download counts after the full population runs."""
         return counts_from_batches(self.iter_batches(seed=seed), self.n_apps)
 
-    def iter_batches(
-        self,
-        seed: SeedLike = None,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-        ledger_mode: Optional[str] = None,
-    ) -> Iterator[EventBatch]:
+    def iter_batches(self, seed: SeedLike = None) -> Iterator[EventBatch]:
         """The event stream as one vectorized batch per refresh window.
 
         The chart is frozen between refreshes, which is exactly what makes
@@ -135,8 +130,7 @@ class RecommenderFeedbackModel:
         ledger = DownloadLedger(
             params.n_users,
             params.n_apps,
-            memory_budget_bytes,
-            mode=ledger_mode,
+            _budget_capacity(params.total_downloads, params.n_users),
         )
         counts = np.zeros(params.n_apps, dtype=np.int64)
 
@@ -159,7 +153,6 @@ class RecommenderFeedbackModel:
                     lambda size: chart[rng.integers(0, chart.size, size=size)],
                     window[recommended],
                     ledger,
-                    rng,
                     self.max_rejections,
                 )
             organic = np.flatnonzero(apps < 0)
@@ -168,7 +161,6 @@ class RecommenderFeedbackModel:
                     lambda size: self._organic.sample(size, seed=rng),
                     window[organic],
                     ledger,
-                    rng,
                     self.max_rejections,
                 )
             done = apps >= 0

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.engine import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_MEMORY_BUDGET,
     DownloadEvent,
     EventBatch,
     app_clustering_event_batches,
@@ -60,12 +59,6 @@ __all__ = [
     "ZipfModel",
     "simulate_downloads",
 ]
-
-# Backwards-compatible aliases: these helpers grew up here and moved to
-# the engine when the batched pipeline landed.
-_per_user_budgets = per_user_budgets
-_interleaved_user_order = interleaved_user_order
-
 
 class ModelKind(str, enum.Enum):
     """The three workload models compared throughout the paper."""
@@ -230,8 +223,6 @@ class ZipfAtMostOnceModel:
         total_downloads: int,
         seed: SeedLike = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-        ledger_mode: Optional[str] = None,
     ) -> Iterator[EventBatch]:
         """The event stream as vectorized chunks."""
         rng = make_rng(seed)
@@ -242,8 +233,6 @@ class ZipfAtMostOnceModel:
             rng,
             batch_size=batch_size,
             max_rejections=self.max_rejections,
-            memory_budget_bytes=memory_budget_bytes,
-            ledger_mode=ledger_mode,
             head_tail=self._head_tail,
         )
 
@@ -343,8 +332,6 @@ class AppClusteringModel:
     def iter_batches(
         self,
         seed: SeedLike = None,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-        ledger_mode: Optional[str] = None,
         n_users: Optional[int] = None,
         total_downloads: Optional[int] = None,
     ) -> Iterator[EventBatch]:
@@ -361,8 +348,6 @@ class AppClusteringModel:
             self._clusters,
             rng,
             max_rejections=self.max_rejections,
-            memory_budget_bytes=memory_budget_bytes,
-            ledger_mode=ledger_mode,
             global_head_tail=self._global_head_tail,
             cluster_head_tails=self._cluster_head_tails,
         )

@@ -22,13 +22,6 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.core.engine import (
-    DEFAULT_MEMORY_BUDGET,
-    DownloadLedger,
-    VisitedClusters,
-    sample_clustered_new_apps,
-    sample_new_apps,
-)
 from repro.stats.sampling import AliasSampler
 from repro.stats.zipf import zipf_weights
 
@@ -260,111 +253,3 @@ class DownloadBehavior:
                 return candidate
         return self._draw_global(state, day, rng)
 
-
-class BatchedDownloadSession:
-    """Vectorized counterpart of the per-user ``next_download`` loop.
-
-    Owns the fetch-at-most-once ledger and visited-category state for a
-    fixed user population and resolves one next download for *many* users
-    in a single vectorized call, reusing the batched rejection kernel of
-    :mod:`repro.core.engine` (the same one the workload models run on).
-    Listing-day availability and the per-app clustered-accept thinning of
-    :class:`DownloadBehavior` are honoured.
-
-    Unlike the scalar API -- where callers inspect the candidate and then
-    decide whether to ``state.record`` it -- a batched draw *commits*: the
-    returned apps are recorded into the session's history immediately.
-    This is the entry point for capacity-style experiments that push
-    whole user cohorts through a store day without the entity layer.
-    """
-
-    def __init__(
-        self,
-        behavior: DownloadBehavior,
-        n_users: int,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-        ledger_mode: Optional[str] = None,
-    ) -> None:
-        if n_users < 1:
-            raise ValueError("n_users must be positive")
-        self._behavior = behavior
-        self._n_users = n_users
-        self._ledger = DownloadLedger(
-            n_users, behavior.n_apps, memory_budget_bytes, mode=ledger_mode
-        )
-        n_categories = int(behavior._categories.max()) + 1
-        self._visited = VisitedClusters(n_users, n_categories, n_categories)
-
-    @property
-    def n_users(self) -> int:
-        """Number of users in the session."""
-        return self._n_users
-
-    def downloaded_count(self, user_id: int) -> int:
-        """Distinct apps a user has downloaded so far."""
-        return int(self._ledger.counts[user_id])
-
-    def has_downloaded(self, user_id: int, app_index: int) -> bool:
-        """Whether the user already fetched the app."""
-        return bool(
-            self._ledger.contains(
-                np.asarray([user_id], dtype=np.int64),
-                np.asarray([app_index], dtype=np.int64),
-            )[0]
-        )
-
-    def draw(
-        self, user_ids: Sequence[int], day: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample and commit one next download per user, vectorized.
-
-        ``user_ids`` must not repeat a user (one decision per user per
-        call -- the batched analogue of one ``next_download`` each).
-        Returns an ``int64`` array aligned with ``user_ids``; ``-1``
-        marks users that could not be served (saturated, or every
-        candidate rejected).
-        """
-        behavior = self._behavior
-        users = np.asarray(user_ids, dtype=np.int64)
-        if users.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if np.unique(users).size != users.size:
-            raise ValueError("user_ids must be unique within a batched draw")
-        available = behavior._listing_days <= day
-        apps = np.full(users.size, -1, dtype=np.int64)
-
-        visited_counts = self._visited.counts[users]
-        clustered = (visited_counts > 0) & (
-            rng.random(users.size) < behavior._params.cluster_probability
-        )
-        slots = np.flatnonzero(clustered)
-        if slots.size:
-            chosen = self._visited.choose(users[slots], rng)
-            sample_clustered_new_apps(
-                slots,
-                users[slots],
-                chosen,
-                behavior._category_samplers,
-                behavior._category_members,
-                self._ledger,
-                rng,
-                behavior._params.max_rejections,
-                out=apps,
-                available=available,
-                accept_probability=behavior._clustered_accept,
-            )
-        fallback = np.flatnonzero(apps < 0)
-        if fallback.size:
-            apps[fallback] = sample_new_apps(
-                lambda size: behavior._global_sampler.sample(size, seed=rng),
-                users[fallback],
-                self._ledger,
-                rng,
-                behavior._params.max_rejections,
-                available=available,
-            )
-        done = np.flatnonzero(apps >= 0)
-        if done.size:
-            categories = behavior._categories[apps[done]]
-            self._visited.record(users[done], categories)
-        return apps

@@ -44,40 +44,32 @@ parameters is indistinguishable from the global profile -- the
 property suite in ``tests/properties/test_segment_properties.py``
 drives random partitions through the store to prove it.
 
-Hot paths stay vectorized: a batched draw touches each segment with
-**one kernel invocation per segment** (never a per-user Python loop --
-lint rule RPL023 guards this module).
+Population-wide work stays vectorized: code here touches each segment
+as one contiguous user block (never a per-user Python loop -- lint rule
+RPL023 guards this module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import DEFAULT_MEMORY_BUDGET, partition_by_blocks
-from repro.marketplace.behavior import (
-    BatchedDownloadSession,
-    BehaviorParams,
-    DownloadBehavior,
-)
+from repro.marketplace.behavior import BehaviorParams
 from repro.stats.rng import SeedLike, spawn_rngs
 
 __all__ = [
     "ATTRIBUTES",
     "DEFAULT_PERSONAS",
     "Persona",
-    "SegmentActivity",
     "SegmentParams",
-    "SegmentedDownloadSession",
     "SegmentedPopulation",
     "UtilityModel",
     "default_personas",
     "draw_segment_params",
     "global_segment",
     "segment_boundaries",
-    "segment_download_matrix",
     "segmented_profile",
 ]
 
@@ -464,132 +456,3 @@ def segmented_profile(
     )
     return replace(profile, segments=drawn)
 
-
-@dataclass
-class SegmentActivity:
-    """Per-segment slice of one batched draw (for callers that report)."""
-
-    segment: str
-    users_served: int
-    users_unserved: int
-
-
-class SegmentedDownloadSession:
-    """Vectorized multi-segment counterpart of ``BatchedDownloadSession``.
-
-    Owns one batched session per segment over that segment's contiguous
-    user block, and resolves a mixed-segment draw with **one kernel
-    invocation per segment**: the user batch is grouped by segment with
-    :func:`repro.core.engine.partition_by_blocks` (a stable argsort, so
-    relative user order inside a segment is preserved) and each group is
-    handed to its segment's session in global segment order.
-
-    With a single segment this degenerates to exactly one delegated
-    ``draw`` on the identical user array -- the byte-exactness anchor
-    the single-segment contract relies on.
-    """
-
-    def __init__(
-        self,
-        population: SegmentedPopulation,
-        behaviors: Sequence[DownloadBehavior],
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-        ledger_mode: Optional[str] = None,
-    ) -> None:
-        if len(behaviors) != population.n_segments:
-            raise ValueError(
-                "behaviors must match the population's segment count"
-            )
-        self._population = population
-        sizes = population.sizes
-        self._sessions: List[Optional[BatchedDownloadSession]] = [
-            BatchedDownloadSession(
-                behavior,
-                int(size),
-                memory_budget_bytes=memory_budget_bytes,
-                ledger_mode=ledger_mode,
-            )
-            if size > 0
-            else None
-            for behavior, size in zip(behaviors, sizes)
-        ]
-        self._last_activity: List[SegmentActivity] = []
-
-    @property
-    def population(self) -> SegmentedPopulation:
-        """The segmented population this session serves."""
-        return self._population
-
-    @property
-    def n_users(self) -> int:
-        """Total users across all segment blocks."""
-        return self._population.n_users
-
-    @property
-    def last_activity(self) -> List[SegmentActivity]:
-        """Per-segment served/unserved counts of the most recent draw."""
-        return list(self._last_activity)
-
-    def draw(
-        self, user_ids: Sequence[int], day: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample and commit one next download per user, segment-batched.
-
-        ``user_ids`` are global (population-wide) and must be unique;
-        the result aligns with them (``-1`` marks unserved users).  RNG
-        consumption is ordered by segment index, then by each segment's
-        internal kernel order -- a pure function of the (population,
-        batch) pair, never of how callers interleaved segments.
-        """
-        users = np.asarray(user_ids, dtype=np.int64)
-        out = np.full(users.size, -1, dtype=np.int64)
-        if users.size == 0:
-            self._last_activity = []
-            return out
-        segment_ids, order, starts = partition_by_blocks(
-            users, self._population.boundaries
-        )
-        del segment_ids
-        self._last_activity = []
-        for segment_index in range(self._population.n_segments):
-            lo, hi = int(starts[segment_index]), int(starts[segment_index + 1])
-            if lo == hi:
-                continue
-            session = self._sessions[segment_index]
-            if session is None:
-                continue
-            positions = order[lo:hi]
-            local = users[positions] - int(
-                self._population.boundaries[segment_index]
-            )
-            apps = session.draw(local, day, rng)
-            out[positions] = apps
-            served = int((apps >= 0).sum())
-            self._last_activity.append(
-                SegmentActivity(
-                    segment=self._population.segments[segment_index].name,
-                    users_served=served,
-                    users_unserved=int(apps.size - served),
-                )
-            )
-        return out
-
-    def downloaded_count(self, user_id: int) -> int:
-        """Distinct apps one (global) user has downloaded so far."""
-        segment = int(self._population.segment_of([user_id])[0])
-        session = self._sessions[segment]
-        if session is None:
-            return 0
-        return session.downloaded_count(
-            int(user_id) - int(self._population.boundaries[segment])
-        )
-
-
-def segment_download_matrix(
-    counts_per_segment: Dict[int, np.ndarray], n_segments: int, n_apps: int
-) -> np.ndarray:
-    """Stack sparse per-segment count vectors into a dense matrix."""
-    matrix = np.zeros((n_segments, n_apps), dtype=np.int64)
-    for segment_index, counts in counts_per_segment.items():
-        matrix[segment_index] += counts
-    return matrix

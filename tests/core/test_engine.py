@@ -3,20 +3,25 @@
 Two families of guarantees:
 
 - **exact invariants** -- fetch-at-most-once, budget ceilings, index
-  ranges, and bit-identical output across ledger storage modes;
+  ranges, bit-identical output across the two ledger backends, and
+  pinned stream hashes;
 - **statistical equivalence** -- the batched streams reproduce the same
   per-app download distributions as the legacy per-event reference
   implementations (total-variation distance at sampling-noise level).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import repro.core.engine as engine
 from repro.core.engine import (
     DownloadEvent,
     DownloadLedger,
     EventBatch,
     VisitedClusters,
+    _shared_cluster_structure,
     counts_from_batches,
     interleaved_user_order,
     partition_by_blocks,
@@ -66,83 +71,172 @@ class TestEventBatch:
         assert len(EventBatch.concatenate([])) == 0
 
 
+def _ledger(monkeypatch, backend, n_users, n_apps, capacity):
+    """A ledger on the named backend; compact is forced by shrinking the
+    dense limit while the ledger is constructed."""
+    if backend == "dense":
+        ledger = DownloadLedger(n_users, n_apps, capacity)
+    else:
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "DEFAULT_MEMORY_BUDGET", 0)
+            ledger = DownloadLedger(n_users, n_apps, capacity)
+    assert ledger.mode == backend
+    return ledger
+
+
+BACKENDS = ("dense", "compact")
+
+
 class TestDownloadLedger:
     def test_mode_auto_selection(self):
-        # 100 * 80 = 8000 cells: dense within an 8000-byte budget,
-        # packed within a 1000-byte budget, sets below that.
-        assert DownloadLedger(100, 80, memory_budget_bytes=8000).mode == "dense"
-        assert DownloadLedger(100, 80, memory_budget_bytes=1000).mode == "packed"
-        assert DownloadLedger(100, 80, memory_budget_bytes=10).mode == "sets"
+        # The census shapes: the cache bench's population is dense, the
+        # 60k-app x 100k-user reference store is compact.
+        assert DownloadLedger(12_000, 1_200, 84).mode == "dense"
+        assert DownloadLedger(100_000, 60_000, 10).mode == "compact"
 
-    def test_invalid_mode_rejected(self):
+    def test_backend_bytes_boundaries(self, monkeypatch):
+        """Dense exactly while its footprint, ``n_users * n_apps`` bytes,
+        fits the budget; one cell more lands on compact."""
+        monkeypatch.setattr(engine, "DEFAULT_MEMORY_BUDGET", 100 * 81)
+        assert DownloadLedger(100, 81, 5).mode == "dense"
+        assert DownloadLedger(81, 100, 5).mode == "dense"
+        assert DownloadLedger(100, 82, 5).mode == "compact"
+        assert DownloadLedger(101, 81, 5).mode == "compact"
+
+    def test_capacity_required(self):
+        with pytest.raises(TypeError):
+            DownloadLedger(10, 10)
         with pytest.raises(ValueError):
-            DownloadLedger(10, 10, mode="bitmap")
+            DownloadLedger(10, 10, 0)
 
-    @pytest.mark.parametrize("mode", ["dense", "packed", "compact", "sets"])
-    def test_contains_add_roundtrip(self, mode):
-        ledger = DownloadLedger(7, 13, mode=mode, capacity=4)
+    @pytest.mark.parametrize("mode", BACKENDS)
+    def test_contains_add_roundtrip(self, monkeypatch, mode):
+        ledger = _ledger(monkeypatch, mode, 7, 13, 4)
         users = np.array([0, 3, 3, 6], dtype=np.int64)
         apps = np.array([12, 0, 7, 5], dtype=np.int64)
         assert not ledger.contains(users, apps).any()
         ledger.add(users, apps)
         assert ledger.contains(users, apps).all()
-        # Other cells stay clear, including same-byte neighbours in
-        # packed mode (app 6 shares a byte with app 7).
         other = np.array([1, 3, 3, 6], dtype=np.int64)
         other_apps = np.array([12, 1, 6, 4], dtype=np.int64)
         assert not ledger.contains(other, other_apps).any()
         assert ledger.counts.tolist() == [1, 0, 0, 2, 0, 0, 1]
 
-    @pytest.mark.parametrize("mode", ["dense", "packed", "compact", "sets"])
-    def test_saturated(self, mode):
-        ledger = DownloadLedger(2, 3, mode=mode, capacity=3)
+    @pytest.mark.parametrize("mode", BACKENDS)
+    def test_saturated(self, monkeypatch, mode):
+        ledger = _ledger(monkeypatch, mode, 2, 3, 3)
         ledger.add(np.array([0, 0, 0]), np.array([0, 1, 2]))
         mask = ledger.saturated(np.array([0, 1]))
         assert mask.tolist() == [True, False]
 
-    def test_backend_bytes_boundaries(self):
-        """Mode selection compares *actual* allocations to the budget.
+    @pytest.mark.parametrize("mode", BACKENDS)
+    def test_capacity_overflow_records_nothing(self, monkeypatch, mode):
+        ledger = _ledger(monkeypatch, mode, 3, 20, 3)
+        ledger.add(np.array([0, 1, 0]), np.array([4, 5, 6]))
+        # User 0 would hold four apps: the whole call is refused.
+        with pytest.raises(ValueError, match="capacity"):
+            ledger.add(np.array([2, 0, 1, 0]), np.array([1, 7, 8, 9]))
+        assert ledger.counts.tolist() == [2, 1, 0]
+        assert not ledger.contains(np.array([2, 0, 1]), np.array([1, 7, 8])).any()
+        ledger.add(np.array([0]), np.array([7]))
+        with pytest.raises(ValueError, match="capacity"):
+            ledger.add_unique(np.array([1, 0]), np.array([9, 9]))
+        assert ledger.counts.tolist() == [3, 1, 0]
 
-        81 apps pack into 11 bytes per user (ceil, not floor: the old
-        ``n_apps // 8`` heuristic said 10 and over-admitted the bitmap),
-        so the packed/sets boundary for 100 users sits at exactly 1100
-        bytes.  The compact matrix is ``capacity * 4`` bytes per user.
-        """
-        assert DownloadLedger.backend_bytes("dense", 100, 81) == 8100
-        assert DownloadLedger.backend_bytes("packed", 100, 81) == 1100
-        assert (
-            DownloadLedger.backend_bytes("compact", 100, 81, capacity=5)
-            == 2000
+    def test_backends_answer_identically(self, monkeypatch):
+        """Both backends, driven by one operation sequence, agree with
+        each other and with a per-user ``set`` reference on every query."""
+        # capacity == n_apps so users can saturate.
+        n_users, n_apps, capacity = 8, 16, 16
+        ledgers = [
+            _ledger(monkeypatch, mode, n_users, n_apps, capacity)
+            for mode in BACKENDS
+        ]
+        rng = np.random.default_rng(12)
+        owned = [set() for _ in range(n_users)]
+        everyone = np.arange(n_users, dtype=np.int64)
+        head = np.array([3, 0, 7, 1, 2], dtype=np.int64)
+        # App 3 also sits in the global head: two heads per app is legal.
+        group_heads = np.array(
+            [[2, 5, 9], [11, 4, 6], [3, 8, 10]], dtype=np.int64
         )
-        # One byte below each backend's exact footprint must not pick it.
-        assert DownloadLedger(100, 81, memory_budget_bytes=8100).mode == "dense"
-        assert (
-            DownloadLedger(100, 81, memory_budget_bytes=8099).mode == "packed"
-        )
-        assert DownloadLedger(100, 81, memory_budget_bytes=1100).mode == "packed"
-        assert DownloadLedger(100, 81, memory_budget_bytes=1099).mode == "sets"
+        groups = everyone % 3
+        for ledger in ledgers:  # early registration, on an empty ledger
+            ledger.head_bytes(everyone, head)
 
-    def test_compact_picked_when_smaller_than_packed(self):
-        # 10 users x 10_000 apps: packed needs 12_500 bytes, a compact
-        # matrix with capacity 5 only 200 -- given a capacity, the
-        # smaller fitting backend wins, and below it sets remain.
-        assert (
-            DownloadLedger(
-                10, 10_000, memory_budget_bytes=12_500, capacity=5
-            ).mode
-            == "compact"
-        )
-        assert (
-            DownloadLedger(10, 10_000, memory_budget_bytes=199, capacity=5).mode
-            == "sets"
-        )
+        def fresh_pairs(n_pairs, unique_users):
+            users, apps = [], []
+            for _ in range(n_pairs):
+                user = int(rng.integers(n_users))
+                if len(owned[user]) >= capacity or (
+                    unique_users and user in users
+                ):
+                    continue
+                free = sorted(set(range(n_apps)) - owned[user])
+                app = free[int(rng.integers(len(free)))]
+                owned[user].add(app)
+                users.append(user)
+                apps.append(app)
+            return np.array(users, dtype=np.int64), np.array(apps, dtype=np.int64)
 
-    @pytest.mark.parametrize("mode", ["dense", "packed", "compact", "sets"])
-    def test_footprint_matches_backend_bytes_at_construction(self, mode):
-        ledger = DownloadLedger(50, 40, mode=mode, capacity=6)
-        assert ledger.footprint_bytes() == DownloadLedger.backend_bytes(
-            mode, 50, 40, capacity=6
-        )
+        repeated = 0
+        for step in range(6):
+            users, apps = fresh_pairs(10, unique_users=False)
+            repeated += users.size - np.unique(users).size
+            for ledger in ledgers:
+                ledger.add(users, apps)
+            users, apps = fresh_pairs(6, unique_users=True)
+            for ledger in ledgers:
+                ledger.add_unique(users, apps)
+
+            probe_users = np.repeat(everyone, n_apps)
+            probe_apps = np.tile(np.arange(n_apps, dtype=np.int64), n_users)
+            expected = np.array(
+                [a in owned[u] for u, a in zip(probe_users, probe_apps)]
+            )
+            expected_bytes = np.array(
+                [
+                    sum(1 << j for j, a in enumerate(head) if a in owned[u])
+                    for u in everyone
+                ],
+                dtype=np.uint8,
+            )
+            for ledger in ledgers:
+                assert np.array_equal(
+                    ledger.contains(probe_users, probe_apps), expected
+                )
+                assert ledger.counts.tolist() == [len(o) for o in owned]
+                assert np.array_equal(
+                    ledger.saturated(everyone),
+                    np.array([len(o) >= n_apps for o in owned]),
+                )
+                assert np.array_equal(
+                    ledger.head_bytes(everyone, head), expected_bytes
+                )
+            if step >= 2:
+                # Late registration (from step 2 on, after adds): the
+                # compact backend rebuilds the rows from its owned matrix.
+                late = np.array([12, 13, 15], dtype=np.int64)
+                answers = [
+                    (
+                        ledger.head_bytes(everyone, late),
+                        ledger.head_bytes_grouped(everyone, group_heads, groups),
+                    )
+                    for ledger in ledgers
+                ]
+                assert np.array_equal(answers[0][0], answers[1][0])
+                assert np.array_equal(answers[0][1], answers[1][1])
+                assert answers[0][1].tolist() == [
+                    sum(
+                        1 << j
+                        for j, a in enumerate(group_heads[g])
+                        if a in owned[u]
+                    )
+                    for u, g in zip(everyone, groups)
+                ]
+        # The sequence exercised repeated users and saturation.
+        assert repeated > 0
+        assert any(len(apps_owned) == n_apps for apps_owned in owned)
 
 
 class TestBudgetsAndOrder:
@@ -200,59 +294,29 @@ class TestPartitionByBlocks:
 class TestSampleNewApps:
     def test_at_most_once_with_repeated_users(self):
         """Intra-batch duplicates of the same user must dedup exactly."""
-        ledger = DownloadLedger(1, 8, mode="dense")
+        ledger = DownloadLedger(1, 8, 8)
         users = np.zeros(8, dtype=np.int64)
         rng = np.random.default_rng(2)
         apps = sample_new_apps(
             lambda size: rng.integers(0, 8, size=size),
             users,
             ledger,
-            rng,
             max_rejections=200,
         )
         served = apps[apps >= 0]
         assert np.unique(served).size == served.size
 
     def test_saturated_users_get_minus_one(self):
-        ledger = DownloadLedger(1, 2, mode="dense")
+        ledger = DownloadLedger(1, 2, 2)
         ledger.add(np.array([0, 0]), np.array([0, 1]))
         rng = np.random.default_rng(3)
         apps = sample_new_apps(
             lambda size: rng.integers(0, 2, size=size),
             np.zeros(3, dtype=np.int64),
             ledger,
-            rng,
             max_rejections=50,
         )
         assert apps.tolist() == [-1, -1, -1]
-
-    def test_available_mask_respected(self):
-        ledger = DownloadLedger(4, 10, mode="dense")
-        available = np.zeros(10, dtype=bool)
-        available[[2, 5]] = True
-        rng = np.random.default_rng(4)
-        apps = sample_new_apps(
-            lambda size: rng.integers(0, 10, size=size),
-            np.arange(4, dtype=np.int64),
-            ledger,
-            rng,
-            max_rejections=200,
-            available=available,
-        )
-        assert np.isin(apps[apps >= 0], [2, 5]).all()
-
-    def test_zero_accept_probability_blocks_everything(self):
-        ledger = DownloadLedger(2, 5, mode="dense")
-        rng = np.random.default_rng(5)
-        apps = sample_new_apps(
-            lambda size: rng.integers(0, 5, size=size),
-            np.arange(2, dtype=np.int64),
-            ledger,
-            rng,
-            max_rejections=30,
-            accept_probability=np.zeros(5),
-        )
-        assert apps.tolist() == [-1, -1]
 
 
 class TestVisitedClusters:
@@ -430,24 +494,48 @@ class TestBatchedInvariants:
         per_user = np.bincount(users, minlength=40)
         assert per_user.max() <= 1600 // 40 + 1
 
-    @pytest.mark.parametrize("model_name", ["amo", "clustering"])
-    def test_ledger_modes_bit_identical(self, model_name):
-        """Storage modes consume no randomness: outputs match exactly."""
-        streams = []
-        for mode in ("dense", "packed", "compact", "sets"):
+    @pytest.mark.parametrize(
+        "model_name", ["amo", "clustering", "clustering-unequal", "feedback"]
+    )
+    def test_ledger_modes_bit_identical(self, monkeypatch, model_name):
+        """The backends consume no randomness: dense and compact streams
+        match exactly.  Compact is forced by shrinking the dense limit."""
+
+        def stream():
             if model_name == "amo":
                 model = ZipfAtMostOnceModel(90, zr=1.6)
-                batches = model.iter_batches(30, 600, seed=9, ledger_mode=mode)
-            else:
-                model = _clustering_model(
-                    n_apps=90, n_users=30, total_downloads=600
+                batches = model.iter_batches(30, 600, seed=9)
+            elif model_name == "feedback":
+                model = _feedback_model(
+                    n_apps=90, n_users=30, total_downloads=600, refresh_every=100
                 )
-                batches = model.iter_batches(seed=9, ledger_mode=mode)
-            streams.append(EventBatch.concatenate(list(batches)))
-        reference = streams[0]
-        for other in streams[1:]:
-            assert np.array_equal(reference.user_ids, other.user_ids)
-            assert np.array_equal(reference.app_indices, other.app_indices)
+                batches = model.iter_batches(seed=9)
+            else:
+                cluster_of = None
+                if model_name == "clustering-unequal":
+                    cluster_of = tuple(min(i // 6, 9) for i in range(100))
+                model = _clustering_model(
+                    n_apps=100,
+                    n_users=30,
+                    total_downloads=600,
+                    cluster_of=cluster_of,
+                )
+                # Equal clusters take the fused kernel, unequal ones the
+                # per-cluster path.
+                fused = _shared_cluster_structure(
+                    model._cluster_samplers,
+                    model._members,
+                    int(model._clusters.max()) + 1,
+                )
+                assert (fused is None) == (cluster_of is not None)
+                batches = model.iter_batches(seed=9)
+            return EventBatch.concatenate(list(batches))
+
+        dense = stream()
+        monkeypatch.setattr(engine, "DEFAULT_MEMORY_BUDGET", 0)
+        compact = stream()
+        assert np.array_equal(dense.user_ids, compact.user_ids)
+        assert np.array_equal(dense.app_indices, compact.app_indices)
 
     def test_iter_events_adapter_matches_batches(self):
         """``iter_events`` is a thin flattening of ``iter_batches``."""
@@ -456,6 +544,62 @@ class TestBatchedInvariants:
         events = list(model.iter_events(20, 300, seed=10))
         assert [e.user_id for e in events] == users.tolist()
         assert [e.app_index for e in events] == apps.tolist()
+
+
+class TestStreamPins:
+    """sha256 of ``simulate()`` counts at one small shape per model.
+
+    The hashes pin the exact event streams: a refactor of the engine or
+    the ledger that changes a single draw fails here.  Re-pin only on a
+    deliberate stream change, and say so in the change log.
+    """
+
+    N_APPS, N_USERS, N_DOWNLOADS, SEED = 300, 120, 3000, 2013
+
+    PINS = {
+        "zipf": "6d6167f4125eb18bbdab1dab84ea7a188393d1a7fa489b6af79496ad38561b19",
+        "amo": "1b383c7df56f68f1c445e766bf65d37a75b420a5f8cb3f6805bbb1813611061c",
+        "clustering": "d02872138f6108bfd2853277232b53faf87858ab3e640813cd44d08e670759c8",
+        "clustering-unequal": "bbd8657711a2be548f9ea334c7273f50544fb155429abdc7fbeef86c1e661918",
+        "feedback": "d2ae1e1353bdc01c519bb9b8977178e44aff5e5414c27d9f20589652fbfd2030",
+    }
+
+    def _counts(self, name):
+        shape = dict(
+            n_apps=self.N_APPS,
+            n_users=self.N_USERS,
+            total_downloads=self.N_DOWNLOADS,
+            zr=1.6,
+        )
+        if name == "zipf":
+            return ZipfModel(self.N_APPS, zr=1.6).simulate(
+                self.N_USERS, self.N_DOWNLOADS, seed=self.SEED
+            )
+        if name == "amo":
+            return ZipfAtMostOnceModel(self.N_APPS, zr=1.6).simulate(
+                self.N_USERS, self.N_DOWNLOADS, seed=self.SEED
+            )
+        if name == "feedback":
+            params = RecommenderFeedbackParams(
+                **shape, list_size=30, refresh_every=250
+            )
+            return RecommenderFeedbackModel(params).simulate(seed=self.SEED)
+        cluster_of = None
+        if name == "clustering-unequal":
+            cluster_of = tuple(min(i // 25, 9) for i in range(self.N_APPS))
+        params = AppClusteringParams(
+            **shape, n_clusters=10, cluster_of=cluster_of
+        )
+        return AppClusteringModel(params).simulate(seed=self.SEED)
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_counts_hash(self, name):
+        counts = self._counts(name)
+        assert counts.sum() == self.N_DOWNLOADS
+        digest = hashlib.sha256(
+            np.asarray(counts, dtype="<i8").tobytes()
+        ).hexdigest()
+        assert digest == self.PINS[name]
 
 
 class TestEventsUnfilledMetric:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.marketplace.behavior import (
-    BatchedDownloadSession,
     BehaviorParams,
     DownloadBehavior,
     UserState,
@@ -221,62 +220,3 @@ class TestDownloadBehavior:
         # Uniform over 6 equal categories: same-category rate ~1/6.
         assert transitions_same / total == pytest.approx(1 / 6, abs=0.05)
 
-
-class TestBatchedDownloadSession:
-    def make_session(self, n_apps=60, n_users=25, **behavior_kwargs):
-        behavior = make_behavior(n_apps=n_apps, **behavior_kwargs)
-        return BatchedDownloadSession(behavior, n_users=n_users), behavior
-
-    def test_rejects_duplicate_users_in_one_draw(self):
-        session, _ = self.make_session()
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            session.draw([1, 2, 1], day=0, rng=rng)
-
-    def test_fetch_at_most_once_across_draws(self):
-        session, _ = self.make_session(n_apps=30, n_users=10)
-        rng = np.random.default_rng(1)
-        users = list(range(10))
-        seen = [set() for _ in users]
-        for _ in range(40):
-            apps = session.draw(users, day=0, rng=rng)
-            for user, app in zip(users, apps.tolist()):
-                if app < 0:
-                    continue
-                assert app not in seen[user]
-                seen[user].add(app)
-        # Every user eventually saturates the 30-app store.
-        assert all(len(downloads) == 30 for downloads in seen)
-        assert (session.draw(users, day=0, rng=rng) == -1).all()
-
-    def test_ledger_agrees_with_returned_apps(self):
-        session, _ = self.make_session(n_apps=40, n_users=6)
-        rng = np.random.default_rng(2)
-        apps = session.draw([0, 1, 2, 3, 4, 5], day=0, rng=rng)
-        for user, app in enumerate(apps.tolist()):
-            if app >= 0:
-                assert session.has_downloaded(user, app)
-                assert session.downloaded_count(user) == 1
-
-    def test_listing_days_honoured(self):
-        n_apps = 40
-        listing_days = np.array([0] * 8 + [50] * (n_apps - 8))
-        behavior = DownloadBehavior(
-            app_categories=np.arange(n_apps) % 4,
-            params=BehaviorParams(),
-            listing_days=listing_days,
-        )
-        session = BatchedDownloadSession(behavior, n_users=12)
-        rng = np.random.default_rng(3)
-        users = list(range(12))
-        for _ in range(10):
-            apps = session.draw(users, day=0, rng=rng)
-            assert apps[apps >= 0].max(initial=-1) < 8
-        # Once everything is listed, the rest of the store opens up.
-        later = session.draw(users, day=60, rng=rng)
-        assert (later[later >= 0] >= 8).any()
-
-    def test_empty_draw(self):
-        session, _ = self.make_session()
-        rng = np.random.default_rng(4)
-        assert session.draw([], day=0, rng=rng).size == 0

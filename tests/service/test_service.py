@@ -346,7 +346,7 @@ class TestSegmentAnalytics:
         assert segment_keys == {
             k for k in gb if k.startswith("streaming.segment.")
         }
-        for key in segment_keys:
+        for key in sorted(segment_keys):
             assert ga[key] == gb[key]
 
     def test_unsegmented_profile_exports_no_segment_gauges(self):
