@@ -18,6 +18,7 @@ from repro.core.models import AppClusteringModel, AppClusteringParams, ModelKind
 from repro.core.pareto import pareto_summary
 from repro.marketplace.catalog import default_taxonomy
 from repro.reporting.tables import render_table
+from repro.stats.rng import make_rng
 
 N_APPS = 2000
 N_CLUSTERS = 25
@@ -35,7 +36,7 @@ def skewed_assignment() -> tuple:
     taxonomy = default_taxonomy(N_CLUSTERS, seed=3)
     counts = taxonomy.app_counts(N_APPS)
     assignment = np.repeat(np.arange(N_CLUSTERS), counts)
-    rng = np.random.default_rng(4)
+    rng = make_rng(4)
     rng.shuffle(assignment)
     return tuple(int(c) for c in assignment)
 

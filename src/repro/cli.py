@@ -15,7 +15,6 @@ Usage (also via ``python -m repro``):
     repro store    stat crawl.cstore                     # dataset summary
     repro metrics  run.metrics.jsonl                     # inspect a metrics file
     repro lint     src/                                  # RPL static analysis
-    repro flow     src/repro                             # whole-program dataflow
 
 (``repro run`` is an alias for ``repro campaign``.)  Every command prints
 the same textual tables the benchmarks produce, so the pipeline can be
@@ -963,12 +962,6 @@ def _add_lint_parser(subparsers) -> None:
     add_lint_parser(subparsers)
 
 
-def _add_flow_parser(subparsers) -> None:
-    from repro.devtools.flow.cli import add_flow_parser
-
-    add_flow_parser(subparsers)
-
-
 def _add_export_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "export", help="export a crawled database to CSV files"
@@ -1025,7 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_parser(subparsers)
     _add_metrics_parser(subparsers)
     _add_lint_parser(subparsers)
-    _add_flow_parser(subparsers)
     return parser
 
 

@@ -21,7 +21,8 @@ the alias method was chosen for.  This module batches the inner loop:
 - :func:`sample_new_apps` -- the rejection kernel of the feedback model,
   whose chart changes at every refresh: draw candidate apps for a whole
   window of user slots, reject already-downloaded (and intra-batch
-  duplicate) picks vectorized, retry up to ``max_rejections`` times;
+  duplicate) picks vectorized, retry up to :data:`MAX_DRAW_ATTEMPTS`
+  times;
 - ``*_event_batches`` generators -- the three models of
   :mod:`repro.core.models` expressed as chunked batch streams.  The
   fetch-at-most-once streams are round-vectorized: round ``k`` serves
@@ -53,6 +54,12 @@ DEFAULT_BATCH_SIZE = 65_536
 #: ``n_users * n_apps`` fits stores a boolean matrix, a larger one the
 #: compact owned-apps matrix.
 DEFAULT_MEMORY_BUDGET = 1 << 30
+
+#: Draw attempts per download slot before the slot is given up (and
+#: counted under ``engine.events_unfilled``): the rounds of
+#: :func:`sample_new_apps`, the tail redraws of the masked kernels, and
+#: the per-event reference paths all stop here.
+MAX_DRAW_ATTEMPTS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -435,7 +442,7 @@ def partition_by_blocks(
 
     One call replaces a per-element membership loop: downstream code
     touches each block with a single slice (one kernel invocation per
-    block, the RPL023 contract).
+    block, the contract lint rule RPL020 holds the segment modules to).
     """
     values = np.asarray(values, dtype=np.int64)
     bounds = np.asarray(boundaries, dtype=np.int64)
@@ -458,7 +465,6 @@ def sample_new_apps(
     draw: Callable[[int], np.ndarray],
     users: np.ndarray,
     ledger: DownloadLedger,
-    max_rejections: int,
 ) -> np.ndarray:
     """Draw one not-yet-downloaded app per user slot, vectorized.
 
@@ -469,13 +475,14 @@ def sample_new_apps(
     Accepted pairs are recorded into the ledger immediately.
 
     Returns an ``int64`` array aligned with ``users``; ``-1`` marks slots
-    for which no new app was found within ``max_rejections`` attempts.
+    for which no new app was found within :data:`MAX_DRAW_ATTEMPTS`
+    attempts.
     """
     metrics = get_registry()
     retry_counter = metrics.counter("engine.rejection_retries")
     apps = np.full(users.size, -1, dtype=np.int64)
     pending = np.flatnonzero(~ledger.saturated(users))
-    for round_index in range(max_rejections):
+    for round_index in range(MAX_DRAW_ATTEMPTS):
         if pending.size == 0:
             break
         if round_index:
@@ -513,7 +520,6 @@ def masked_head_tail_draw(
     users: np.ndarray,
     ledger: DownloadLedger,
     rng: np.random.Generator,
-    max_rejections: int,
 ) -> np.ndarray:
     """Draw one not-yet-downloaded app per user, near-rejection-free.
 
@@ -538,7 +544,8 @@ def masked_head_tail_draw(
     Both ledger backends consume no randomness and return identical
     bytes, so output is bit-identical across them.  Returns ``-1`` for
     users with nothing left to draw (or, pathologically, users that
-    exhaust ``max_rejections`` while owning almost the whole tail);
+    exhaust :data:`MAX_DRAW_ATTEMPTS` while owning almost the whole
+    tail);
     failures are counted under ``engine.events_unfilled`` by the stream.
     """
     metrics = get_registry()
@@ -563,7 +570,7 @@ def masked_head_tail_draw(
         # Users with no head mass left and no tail have nothing to draw.
         pending = np.flatnonzero(total > 0)
         full = pending.size == n
-    for attempt in range(max_rejections):
+    for attempt in range(MAX_DRAW_ATTEMPTS):
         if pending.size == 0:
             break
         if attempt:
@@ -605,7 +612,6 @@ def masked_head_tail_draw_grouped(
     head_apps: np.ndarray,
     ledger: DownloadLedger,
     rng: np.random.Generator,
-    max_rejections: int,
 ) -> np.ndarray:
     """Fused masked draw when every group shares one rank-space law.
 
@@ -647,7 +653,7 @@ def masked_head_tail_draw_grouped(
     else:
         pending = np.flatnonzero(total > 0)
         full = pending.size == n
-    for attempt in range(max_rejections):
+    for attempt in range(MAX_DRAW_ATTEMPTS):
         if pending.size == 0:
             break
         if attempt:
@@ -827,9 +833,8 @@ def zipf_amo_event_batches(
     n_users: int,
     total_downloads: int,
     rng: np.random.Generator,
+    head_tail: HeadTailSampler,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    max_rejections: int = 256,
-    head_tail: Optional[HeadTailSampler] = None,
 ) -> Iterator[EventBatch]:
     """ZIPF-at-most-once downloads as a round-vectorized batch stream.
 
@@ -850,8 +855,6 @@ def zipf_amo_event_batches(
     ledger = DownloadLedger(
         n_users, sampler.n_outcomes, _budget_capacity(total_downloads, n_users)
     )
-    if head_tail is None:
-        head_tail = HeadTailSampler(sampler.probabilities)
     ledger.prepare_head(head_tail.head)
     budgets = per_user_budgets(total_downloads, n_users, rng)
     # Budgets take exactly two values (base and base + 1), so the round
@@ -882,9 +885,7 @@ def zipf_amo_event_batches(
             active = holders
         if active.size == 0:
             continue
-        apps = masked_head_tail_draw(
-            head_tail, active, ledger, rng, max_rejections
-        )
+        apps = masked_head_tail_draw(head_tail, active, ledger, rng)
         done = apps >= 0
         n_unfilled = active.size - int(np.count_nonzero(done))
         if n_unfilled:
@@ -916,15 +917,13 @@ def app_clustering_event_batches(
     n_users: int,
     total_downloads: int,
     p: float,
-    global_sampler: AliasSampler,
     cluster_samplers: Mapping[int, AliasSampler],
     cluster_members: Mapping[int, np.ndarray],
     cluster_of: np.ndarray,
     rng: np.random.Generator,
-    max_rejections: int = 64,
+    global_head_tail: HeadTailSampler,
+    cluster_head_tails: Mapping[int, HeadTailSampler],
     batch_size: int = DEFAULT_BATCH_SIZE,
-    global_head_tail: Optional[HeadTailSampler] = None,
-    cluster_head_tails: Optional[Mapping[int, HeadTailSampler]] = None,
 ) -> Iterator[EventBatch]:
     """APP-CLUSTERING downloads as a round-vectorized batch stream.
 
@@ -959,15 +958,6 @@ def app_clustering_event_batches(
     if total_downloads % n_users:
         rounds.append(np.flatnonzero(budgets > base))
     can_saturate = _budget_capacity(total_downloads, n_users) >= n_apps
-    if global_head_tail is None:
-        global_head_tail = HeadTailSampler(global_sampler.probabilities)
-    if cluster_head_tails is None:
-        cluster_head_tails = {
-            cluster: HeadTailSampler(
-                sampler.probabilities, outcomes=cluster_members[cluster]
-            )
-            for cluster, sampler in cluster_samplers.items()
-        }
     group_dtype = _grouping_dtype(n_clusters)
     ledger.prepare_head(global_head_tail.head)
     for head_tail in cluster_head_tails.values():  # repro: noqa=RPL020 -- O(n_clusters) one-time registration
@@ -1006,7 +996,6 @@ def app_clustering_event_batches(
                 head_apps,
                 ledger,
                 rng,
-                max_rejections,
             )
         elif slots.size:
             chosen = visited.choose(active[slots], rng)
@@ -1024,20 +1013,12 @@ def app_clustering_event_batches(
                     continue
                 segment = slice(bounds[cluster], bounds[cluster + 1])
                 apps[grouped_slots[segment]] = masked_head_tail_draw(
-                    head_tail,
-                    grouped_users[segment],
-                    ledger,
-                    rng,
-                    max_rejections,
+                    head_tail, grouped_users[segment], ledger, rng
                 )
         fallback = np.flatnonzero(apps < 0)
         if fallback.size:
             apps[fallback] = masked_head_tail_draw(
-                global_head_tail,
-                active[fallback],
-                ledger,
-                rng,
-                max_rejections,
+                global_head_tail, active[fallback], ledger, rng
             )
         done = apps >= 0
         n_unfilled = active.size - int(np.count_nonzero(done))

@@ -35,6 +35,7 @@ from typing import Iterator, List, Optional, Set
 import numpy as np
 
 from repro.core.engine import (
+    MAX_DRAW_ATTEMPTS,
     DownloadEvent,
     DownloadLedger,
     EventBatch,
@@ -97,13 +98,8 @@ class RecommenderFeedbackModel:
 
     kind = "RECOMMENDER-FEEDBACK"
 
-    def __init__(
-        self, params: RecommenderFeedbackParams, max_rejections: int = 64
-    ) -> None:
-        if max_rejections < 1:
-            raise ValueError("max_rejections must be >= 1")
+    def __init__(self, params: RecommenderFeedbackParams) -> None:
         self.params = params
-        self.max_rejections = max_rejections
         self._organic = AliasSampler(zipf_weights(params.n_apps, params.zr))
 
     @property
@@ -153,7 +149,6 @@ class RecommenderFeedbackModel:
                     lambda size: chart[rng.integers(0, chart.size, size=size)],
                     window[recommended],
                     ledger,
-                    self.max_rejections,
                 )
             organic = np.flatnonzero(apps < 0)
             if organic.size:
@@ -161,7 +156,6 @@ class RecommenderFeedbackModel:
                     lambda size: self._organic.sample(size, seed=rng),
                     window[organic],
                     ledger,
-                    self.max_rejections,
                 )
             done = apps >= 0
             if not np.any(done):
@@ -176,14 +170,14 @@ class RecommenderFeedbackModel:
     def _draw_recommended(
         self, downloaded: Set[int], chart: np.ndarray, rng
     ) -> Optional[int]:
-        for _ in range(self.max_rejections):
+        for _ in range(MAX_DRAW_ATTEMPTS):
             candidate = int(chart[int(rng.integers(0, chart.size))])
             if candidate not in downloaded:
                 return candidate
         return None
 
     def _draw_organic(self, downloaded: Set[int], rng) -> Optional[int]:
-        for _ in range(self.max_rejections):
+        for _ in range(MAX_DRAW_ATTEMPTS):
             candidate = int(self._organic.sample(1, seed=rng)[0])
             if candidate not in downloaded:
                 return candidate

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.engine import (
     DEFAULT_BATCH_SIZE,
+    MAX_DRAW_ATTEMPTS,
     DownloadEvent,
     EventBatch,
     app_clustering_event_batches,
@@ -194,14 +195,11 @@ class ZipfAtMostOnceModel:
 
     kind = ModelKind.ZIPF_AT_MOST_ONCE
 
-    def __init__(self, n_apps: int, zr: float, max_rejections: int = 256) -> None:
+    def __init__(self, n_apps: int, zr: float) -> None:
         if n_apps < 1:
             raise ValueError("n_apps must be positive")
-        if max_rejections < 1:
-            raise ValueError("max_rejections must be >= 1")
         self.n_apps = n_apps
         self.zr = zr
-        self.max_rejections = max_rejections
         weights = zipf_weights(n_apps, zr)
         self._sampler = AliasSampler(weights)
         # Built once so block-sharded campaigns that stream many small
@@ -231,9 +229,8 @@ class ZipfAtMostOnceModel:
             n_users,
             total_downloads,
             rng,
+            self._head_tail,
             batch_size=batch_size,
-            max_rejections=self.max_rejections,
-            head_tail=self._head_tail,
         )
 
     def iter_events(
@@ -245,7 +242,7 @@ class ZipfAtMostOnceModel:
         )
 
     def _draw_new(self, downloaded: set, rng: np.random.Generator) -> Optional[int]:
-        for _ in range(self.max_rejections):
+        for _ in range(MAX_DRAW_ATTEMPTS):
             candidate = self._sampler.sample_one(rng)
             if candidate not in downloaded:
                 return candidate
@@ -275,11 +272,8 @@ class AppClusteringModel:
 
     kind = ModelKind.APP_CLUSTERING
 
-    def __init__(self, params: AppClusteringParams, max_rejections: int = 64) -> None:
-        if max_rejections < 1:
-            raise ValueError("max_rejections must be >= 1")
+    def __init__(self, params: AppClusteringParams) -> None:
         self.params = params
-        self.max_rejections = max_rejections
         self._clusters = params.cluster_assignment()
         self._global_sampler = AliasSampler(zipf_weights(params.n_apps, params.zr))
         # Only clusters that actually contain apps get members/samplers;
@@ -342,14 +336,12 @@ class AppClusteringModel:
             params.n_users if n_users is None else n_users,
             params.total_downloads if total_downloads is None else total_downloads,
             params.p,
-            self._global_sampler,
             self._cluster_samplers,
             self._members,
             self._clusters,
             rng,
-            max_rejections=self.max_rejections,
-            global_head_tail=self._global_head_tail,
-            cluster_head_tails=self._cluster_head_tails,
+            self._global_head_tail,
+            self._cluster_head_tails,
         )
 
     def iter_events(self, seed: SeedLike = None) -> Iterator[DownloadEvent]:
@@ -359,7 +351,7 @@ class AppClusteringModel:
     def _draw_global(
         self, downloaded: set, rng: np.random.Generator
     ) -> Optional[int]:
-        for _ in range(self.max_rejections):
+        for _ in range(MAX_DRAW_ATTEMPTS):
             candidate = self._global_sampler.sample_one(rng)
             if candidate not in downloaded:
                 return candidate
@@ -376,7 +368,7 @@ class AppClusteringModel:
         if sampler is None:
             return None
         members = self._members[cluster]
-        for _ in range(self.max_rejections):
+        for _ in range(MAX_DRAW_ATTEMPTS):
             candidate = int(members[sampler.sample_one(rng)])
             if candidate not in downloaded:
                 return candidate

@@ -1,8 +1,8 @@
-"""Whole-program dataflow analyzer (``repro flow`` / ``make flow``).
+"""Whole-program passes of the RPL analyzer (run by ``repro lint``).
 
-Where :mod:`repro.devtools.lint` checks one file at a time, this package
-parses the full tree once ( :class:`~repro.devtools.flow.program.Program` )
-and runs three interprocedural passes over it:
+Where the per-file rules of :mod:`repro.devtools.lint` see one module at
+a time, these passes work on a parsed, cross-linked tree
+(:class:`~repro.devtools.flow.program.Program`):
 
 - **RNG provenance** (``RPL101-102``): every Generator's provenance must
   reach :mod:`repro.stats.rng`; no wall-clock/builtin-hash value may
@@ -16,30 +16,15 @@ and runs three interprocedural passes over it:
   "deterministic, side-effect-free modulo explicitly-passed Generator
   arguments".
 
-Findings reuse the lint engine's :class:`~repro.devtools.lint.findings.
-Finding` model and ``# repro: noqa=RPL1xx -- reason`` suppressions, plus
-a committed-baseline mode for gating in CI.  Only :func:`pure` /
-:func:`is_pure` are imported eagerly -- hot modules decorate kernels
-without paying for any analyzer import.
+Only :func:`pure` / :func:`is_pure` are exported here: hot modules
+decorate kernels without paying for any analyzer import.
 """
 
 from __future__ import annotations
 
 from repro.devtools.flow.contracts import is_pure, pure
 
-#: ``add_flow_parser`` / ``analyze_paths`` / ``run_flow`` / ``main`` are
-#: importable too, loaded lazily through ``__getattr__`` below.
 __all__ = [
     "is_pure",
     "pure",
 ]
-
-
-def __getattr__(name):
-    # Lazy re-exports: importing `pure` from a hot kernel module must not
-    # drag the whole analyzer (and its CLI) along.
-    if name in ("add_flow_parser", "analyze_paths", "main", "run_flow"):
-        from repro.devtools.flow import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

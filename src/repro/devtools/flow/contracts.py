@@ -6,7 +6,7 @@ returns it unchanged), importable from hot modules without dragging any
 analyzer machinery along -- this module deliberately imports nothing.
 
 The contract a ``@pure`` function promises, verified statically by
-``repro flow`` (``RPL120-123``):
+``repro lint`` (``RPL120-123``):
 
 - no writes to globals, closures, ``self``, or any argument -- the only
   mutable state it touches is what it allocates itself;

@@ -1,13 +1,11 @@
 """Process-boundary escape pass: what actually crosses into workers.
 
-RPL005 catches a Generator *named* in a ``submit(...)`` call.  This pass
-generalizes it to the transitive closure: starting from every payload
-expression of a process-pool dispatch (``submit``/``map``/...), it
-chases values backwards through local assignments, container displays,
-dataclass constructor fields, in-program function returns, and -- when a
-payload is a parameter -- the arguments of every caller, up to a small
-depth.  Anything in that closure whose origin is a forbidden resource is
-flagged:
+Starting from every payload expression of a process-pool dispatch
+(``submit``/``map``/...), the pass chases values backwards through local
+assignments, container displays, dataclass constructor fields,
+in-program function returns, and -- when a payload is a parameter --
+the arguments of every caller, up to a small depth.  Anything in that
+closure whose origin is a forbidden resource is flagged:
 
 - ``RPL110`` -- ``np.random.Generator`` (pickling duplicates the
   stream; parent and worker silently share draws);
@@ -18,10 +16,14 @@ flagged:
 - ``RPL113`` -- ``MetricsRegistry`` instances (workers must keep
   private registries, merged deterministically after join).
 
+A parameter the program never calls with anything is an entry point:
+its value comes from outside, so only its name can say what it holds.
+One named ``rng``, ``*_rng`` or ``*rngs`` counts as a Generator origin.
+
 ``SeedSequence`` is deliberately *not* a forbidden origin: seeds and
 their spawned children are the sanctioned cross-process currency.
-Unresolvable expressions stop the walk silently -- precision over
-recall, as everywhere in the flow analyzer.
+Otherwise unresolvable expressions stop the walk silently -- precision
+over recall, as everywhere in the whole-program passes.
 """
 
 from __future__ import annotations
@@ -33,14 +35,26 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.lint.engine import ModuleInfo
 from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.rules import GeneratorAcrossProcessRule
 from repro.devtools.flow.program import (
     FunctionInfo,
     Program,
     walk_function_body,
 )
 
-_DISPATCH_METHODS = GeneratorAcrossProcessRule._DISPATCH_METHODS
+#: Executor methods that pickle their arguments into a worker.
+_DISPATCH_METHODS = frozenset(
+    {
+        "submit",
+        "map",
+        "map_async",
+        "starmap",
+        "starmap_async",
+        "apply",
+        "apply_async",
+        "imap",
+        "imap_unordered",
+    }
+)
 
 _EXECUTOR_TYPES = frozenset(
     {
@@ -62,6 +76,13 @@ _RNG_ORIGINS = frozenset(
         "repro.stats.rng.make_rng",
         "repro.stats.rng.spawn_rngs",
     }
+)
+
+#: (code, kind, remedy) of a Generator reaching a payload.
+_GENERATOR_ESCAPE = (
+    "RPL110",
+    "np.random.Generator",
+    "ship a seed or SeedSequence child and build the Generator in the worker",
 )
 
 _STORE_ORIGINS = frozenset({"repro.store.disk.open_store"})
@@ -259,8 +280,14 @@ class EscapePass:
                     return []
         if item.info is not None:
             children.extend(bindings)
+            sites = self.program.callers.get(item.info.qualname, [])
+            if is_param and not bindings and not sites and _is_rng_name(name):
+                code, kind, remedy = _GENERATOR_ESCAPE
+                self._report(
+                    dispatch, item, code, f"{kind} parameter {name!r}", remedy
+                )
             if is_param and item.depth < _MAX_HOPS:
-                for site in self.program.callers.get(item.info.qualname, []):
+                for site in sites:
                     bound = self.program.parameters_bound(item.info, site.node)
                     for arg in bound.get(name, []):
                         children.append(
@@ -325,7 +352,10 @@ class EscapePass:
         classified = self._classify(dotted, canonical, node)
         if classified is not None:
             code, kind, remedy = classified
-            self._report(dispatch, item, node, code, kind, remedy)
+            origin_at = f"{Path(item.module.path).name}:{node.lineno}"
+            self._report(
+                dispatch, item, code, f"{kind} (created at {origin_at})", remedy
+            )
             return []
         if dotted in _CONTAINER_WRAPPERS:
             return [self._child(item, arg) for arg in node.args]
@@ -401,12 +431,7 @@ class EscapePass:
     ) -> Optional[Tuple[str, str, str]]:
         candidates = {dotted, canonical}
         if candidates & _RNG_ORIGINS:
-            return (
-                "RPL110",
-                "np.random.Generator",
-                "ship a seed or SeedSequence child and build the Generator "
-                "in the worker",
-            )
+            return _GENERATOR_ESCAPE
         if candidates & _STORE_ORIGINS:
             return (
                 "RPL111",
@@ -440,22 +465,20 @@ class EscapePass:
         self,
         dispatch: _Dispatch,
         item: _Item,
-        origin: ast.Call,
         code: str,
-        kind: str,
+        origin: str,
         remedy: str,
     ) -> None:
         key = (id(dispatch.root), code)
         if key in self._reported:
             return
         self._reported.add(key)
-        origin_at = f"{Path(item.module.path).name}:{origin.lineno}"
         via = f" via {' -> '.join(item.chain)}" if item.chain else ""
         self.findings.append(
             Finding(
                 code=code,
                 message=(
-                    f"{kind} (created at {origin_at}) escapes into a "
+                    f"{origin} escapes into a "
                     f"process-pool {dispatch.method}() payload{via}; "
                     f"{remedy}"
                 ),
@@ -466,6 +489,10 @@ class EscapePass:
         )
 
 
+def _is_rng_name(name: str) -> bool:
+    return name == "rng" or name.endswith("_rng") or name.endswith("rngs")
+
+
 def run_escape(program: Program) -> List[Finding]:
-    """Convenience wrapper used by the CLI."""
+    """Run the pass; used by :func:`repro.devtools.lint.analyze_paths`."""
     return EscapePass(program).run()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
 
-from repro.devtools.lint.engine import ModuleInfo, iter_python_files
+from repro.devtools.lint.engine import ModuleInfo, iter_python_files, parse_error
 from repro.devtools.lint.findings import Finding
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -126,7 +126,7 @@ class Program:
         self.classes: Dict[str, ClassInfo] = {}
         #: callee qualname -> every resolved call site targeting it.
         self.callers: Dict[str, List[CallSite]] = {}
-        #: Parse failures, reported as RPL100 findings by the CLI.
+        #: Parse failures, as RPL000 findings.
         self.errors: List[Finding] = []
         self._names_by_module: Dict[int, str] = {}
         self._info_by_node: Dict[int, FunctionInfo] = {}
@@ -144,18 +144,15 @@ class Program:
             try:
                 tree = ast.parse(source)
             except SyntaxError as error:
-                program.errors.append(
-                    Finding(
-                        code="RPL100",
-                        message=f"file could not be parsed: {error.msg}",
-                        path=str(file_path),
-                        line=error.lineno or 1,
-                        col=(error.offset or 1) - 1,
-                    )
-                )
+                program.errors.append(parse_error(error, str(file_path)))
                 continue
             module = ModuleInfo(path=str(file_path), source=source, tree=tree)
             name = module_name_for(file_path)
+            if name in program.modules:
+                # Two files claim one dotted name (same-named scripts in
+                # different non-package directories).  Keep both: the
+                # later one under its path, which no import resolves to.
+                name = str(file_path)
             program.modules[name] = module
             program._names_by_module[id(module)] = name
             program._import_aliases[id(module)] = cls._collect_plain_imports(tree)

@@ -1,7 +1,6 @@
 """RNG provenance pass: where seeds and Generators really come from.
 
-Generalizes the per-file RPL003/RPL010 rules across module boundaries
-with two checks:
+Two whole-program checks:
 
 - ``RPL101`` -- any modern numpy RNG constructor (``default_rng``,
   ``Generator``, ``SeedSequence``, bit generators) called outside
@@ -15,7 +14,8 @@ with two checks:
   constructors, a ``seed=`` keyword, or a ``*seed*`` assignment)
   **through any number of function calls**.  Taint is tracked through
   assignments, arithmetic, tuple packing, returns, and parameter
-  passing via per-function summaries iterated to a fixpoint.
+  passing via per-function summaries iterated to a fixpoint; a clock
+  read fed straight into ``make_rng`` is the zero-call case.
 
 The lattice is tiny by design: a value is tainted by ``{clock}``,
 ``{hash}``, both, or neither, plus the set of parameters whose taint
@@ -33,9 +33,8 @@ from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.rules import (
     _CLOCK_CALLS,
     _MODERN_NUMPY_RANDOM,
-    _SEED_COERCERS,
     RNG_HELPER_MODULE_SUFFIXES,
-    _path_matches,
+    in_scope,
 )
 from repro.devtools.flow.program import (
     FunctionInfo,
@@ -45,6 +44,12 @@ from repro.devtools.flow.program import (
 
 TAINT_CLOCK = "wall clock"
 TAINT_HASH = "builtin hash()"
+
+#: The central coercers of :mod:`repro.stats.rng`; every argument is a
+#: seed sink.
+_SEED_COERCERS = frozenset(
+    {"make_rng", "spawn_rngs", "derive_seed", "make_seed_sequence"}
+)
 
 #: Builtins that pass taint straight through their arguments.
 _WRAPPER_CALLS = frozenset(
@@ -106,7 +111,7 @@ class ProvenancePass:
     def _check_construction_sites(self) -> List[Finding]:
         findings: List[Finding] = []
         for module in self.program.modules.values():
-            if _path_matches(module.path, RNG_HELPER_MODULE_SUFFIXES):
+            if in_scope(module.path, RNG_HELPER_MODULE_SUFFIXES):
                 continue
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):
@@ -334,5 +339,5 @@ class ProvenancePass:
 
 
 def run_provenance(program: Program) -> List[Finding]:
-    """Convenience wrapper used by the CLI."""
+    """Run the pass; used by :func:`repro.devtools.lint.analyze_paths`."""
     return ProvenancePass(program).run()

@@ -541,5 +541,5 @@ class PurityPass:
 
 
 def run_purity(program: Program) -> List[Finding]:
-    """Convenience wrapper used by the CLI."""
+    """Run the pass; used by :func:`repro.devtools.lint.analyze_paths`."""
     return PurityPass(program).run()

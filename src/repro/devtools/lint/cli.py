@@ -1,49 +1,65 @@
-"""``repro lint`` runner: discovery, filtering, and reporting.
+"""``repro lint``: the repository's one static analyzer.
+
+The given paths load once into a :class:`~repro.devtools.flow.program.
+Program`, which holds one :class:`~repro.devtools.lint.engine.ModuleInfo`
+per file.  The per-file rules run on each module, the three
+whole-program passes of :mod:`repro.devtools.flow` run on the program,
+and ``# repro: noqa`` applies once to everything they report.  Listing,
+filtering and every output format read one table,
+:data:`~repro.devtools.lint.rules.RULE_TABLE`.
 
 Exit codes: 0 clean, 1 findings, 2 usage errors (unknown path or rule
 code).  ``--format json`` emits a machine-readable object so CI and
 editors can consume findings without scraping text; ``--format sarif``
-(``--sarif``) feeds GitHub code scanning.  ``--changed`` restricts the
-run to files git considers modified (worktree, index, or untracked), so
-a pre-commit hook finishes in well under a second on large trees.
+(``--sarif``) feeds GitHub code scanning.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.devtools.lint.engine import iter_python_files, lint_source
+from repro.devtools.lint.engine import run_rules, suppressed
 from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.rules import RULES
+from repro.devtools.lint.rules import RULE_TABLE
 from repro.devtools.lint.sarif import render_sarif
 
-#: Rule metadata in the shape the SARIF serializer consumes.
-_PARSE_RULE = {
-    "code": "RPL000",
-    "name": "parse-error",
-    "summary": "file could not be parsed",
-}
-RULE_DESCRIPTORS = (_PARSE_RULE,) + tuple(
-    {"code": rule.code, "name": rule.name, "summary": rule.summary}
-    for rule in RULES
-)
 
+def analyze_paths(paths: Sequence[str]) -> Tuple[List[Finding], int]:
+    """Run every rule over a tree; returns (sorted findings, files checked)."""
+    # The passes build on the lint engine, which imports this package.
+    from repro.devtools.flow.escape import run_escape
+    from repro.devtools.flow.program import Program
+    from repro.devtools.flow.provenance import run_provenance
+    from repro.devtools.flow.purity import run_purity
 
-def known_codes() -> List[str]:
-    """Rule codes shipped in the pack (plus the engine's parse error)."""
-    return ["RPL000"] + [rule.code for rule in RULES]
+    program = Program.load(paths)
+    findings: List[Finding] = list(program.errors)
+    for module in program.modules.values():
+        findings.extend(run_rules(module))
+    findings.extend(run_provenance(program))
+    findings.extend(run_escape(program))
+    findings.extend(run_purity(program))
+    noqa_by_path = {
+        module.path: module.noqa for module in program.modules.values()
+    }
+    kept = [
+        finding
+        for finding in findings
+        if not suppressed(finding, noqa_by_path.get(finding.path, {}))
+    ]
+    kept.sort(key=Finding.sort_key)
+    return kept, len(program.modules) + len(program.errors)
 
 
 def _parse_code_list(raw: Optional[str]) -> Optional[List[str]]:
     if raw is None:
         return None
     codes = [part.strip() for part in raw.split(",") if part.strip()]
-    unknown = sorted(set(codes) - set(known_codes()))
+    unknown = sorted(set(codes) - {rule["code"] for rule in RULE_TABLE})
     if unknown:
         raise ValueError(f"unknown rule codes: {', '.join(unknown)}")
     return codes
@@ -55,7 +71,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         default=["src"],
-        help="files or directories to lint (default: src)",
+        help="files or directories to analyze (default: src)",
     )
     parser.add_argument(
         "--format",
@@ -70,14 +86,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         const="sarif",
         dest="output_format",
         help="shorthand for --format sarif",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "lint only files git reports as changed (worktree, staged, "
-            "or untracked) under the given paths"
-        ),
     )
     parser.add_argument(
         "--select", default=None, help="comma-separated codes to enable"
@@ -97,63 +105,24 @@ def add_lint_parser(subparsers) -> None:
     """Register the ``lint`` subcommand on the top-level ``repro`` CLI."""
     parser = subparsers.add_parser(
         "lint",
-        help="run the determinism & vectorization linter (RPL rules)",
+        help="run the RPL static analyzer (per-file and whole-program rules)",
         description=(
-            "AST-based static analysis enforcing the repository's "
-            "seed-threading, determinism, and vectorization conventions. "
-            "Suppress one line with `# repro: noqa=RPL0xx -- reason`."
+            "Static analysis enforcing the repository's seed-threading, "
+            "determinism, and vectorization conventions: per-file AST "
+            "rules plus whole-program RNG provenance, process-boundary "
+            "escape, and @pure kernel contracts. Suppress one line with "
+            "`# repro: noqa=RPLxxx -- reason`."
         ),
     )
     configure_parser(parser)
 
 
-def changed_python_files(paths: Sequence[str]) -> Optional[List[Path]]:
-    """``.py`` files git reports as touched, restricted to ``paths``.
-
-    Unions unstaged, staged, and untracked files; returns ``None`` when
-    git is unavailable or the working directory is not a checkout.
-    Deleted files are skipped (there is nothing left to lint).
-    """
-    commands = [
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "diff", "--name-only", "--cached"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ]
-    names: set = set()
-    for command in commands:
-        try:
-            result = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        names.update(
-            line.strip() for line in result.stdout.splitlines() if line.strip()
-        )
-    roots = [Path(raw).resolve() for raw in paths]
-    selected: List[Path] = []
-    for name in sorted(names):
-        if not name.endswith(".py"):
-            continue
-        path = Path(name)
-        if not path.exists():
-            continue
-        resolved = path.resolve()
-        if any(resolved == root or root in resolved.parents for root in roots):
-            selected.append(path)
-    return selected
-
-
 def _list_rules(output_format: str) -> int:
     if output_format == "json":
-        payload = [
-            {"code": rule.code, "name": rule.name, "summary": rule.summary}
-            for rule in RULES
-        ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(list(RULE_TABLE), indent=2))
     else:
-        for rule in RULES:
-            print(f"{rule.code} [{rule.name}] {rule.summary}")
+        for rule in RULE_TABLE:
+            print(f"{rule['code']} [{rule['name']}] {rule['summary']}")
     return 0
 
 
@@ -172,31 +141,14 @@ def run_lint(args) -> int:
         print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    if getattr(args, "changed", False):
-        changed = changed_python_files(args.paths)
-        if changed is None:
-            print(
-                "error: --changed requires a git checkout", file=sys.stderr
-            )
-            return 2
-        files = iter(changed)
-    else:
-        files = iter_python_files(args.paths)
-
-    findings: List[Finding] = []
-    files_checked = 0
-    for file_path in files:
-        files_checked += 1
-        source = file_path.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, path=str(file_path)))
+    findings, files_checked = analyze_paths(args.paths)
     if selected is not None:
         findings = [f for f in findings if f.code in selected]
     if ignored is not None:
         findings = [f for f in findings if f.code not in ignored]
-    findings.sort(key=Finding.sort_key)
 
     if args.output_format == "sarif":
-        print(render_sarif(findings, RULE_DESCRIPTORS, tool_name="repro-lint"))
+        print(render_sarif(findings, RULE_TABLE, tool_name="repro-lint"))
     elif args.output_format == "json":
         print(
             json.dumps(
@@ -219,7 +171,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Standalone entry point (``python -m repro.devtools.lint``)."""
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="determinism & vectorization linter (RPL rules)",
+        description="the RPL static analyzer (per-file and whole-program rules)",
     )
     configure_parser(parser)
     args = parser.parse_args(argv)

@@ -1,11 +1,12 @@
-"""Visitor engine of the determinism & vectorization linter.
+"""Per-file engine of the RPL analyzer.
 
-The engine parses each file once, precomputes the module facts every
-rule needs (import aliases, parent links, per-scope name bindings, and
-``# repro: noqa`` suppressions), then runs each registered rule as an
-:mod:`ast` visitor over the tree.  Rules stay tiny: they pattern-match
-nodes and call :meth:`Rule.report`; everything positional or contextual
-lives here.
+:class:`ModuleInfo` precomputes the facts every rule needs from one
+parsed file (import aliases, parent links, per-scope name bindings, and
+``# repro: noqa`` suppressions); :func:`run_rules` runs each per-file
+rule over it as an :mod:`ast` visitor.  Rules stay tiny: they
+pattern-match nodes and call :meth:`Rule.report`; everything positional
+or contextual lives here.  The whole-program passes share the same
+``ModuleInfo`` objects (see :func:`repro.devtools.lint.cli.analyze_paths`).
 
 Suppression syntax, checked per finding line::
 
@@ -21,6 +22,9 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
 
 from repro.devtools.lint.findings import Finding
+
+#: Code of the finding reported for a file that does not parse.
+PARSE_ERROR_CODE = "RPL000"
 
 #: Matches ``# repro: noqa`` and ``# repro: noqa=RPL001,RPL002`` comments.
 _NOQA_PATTERN = re.compile(
@@ -351,17 +355,43 @@ class Rule(ast.NodeVisitor):
         return self.findings
 
 
+def parse_error(error: SyntaxError, path: str) -> Finding:
+    """The ``RPL000`` finding for a file that does not parse."""
+    return Finding(
+        code=PARSE_ERROR_CODE,
+        message=f"syntax error: {error.msg}",
+        path=path,
+        line=error.lineno or 1,
+        col=(error.offset or 1) - 1,
+    )
+
+
+def suppressed(finding: Finding, noqa: Dict[int, Optional[Set[str]]]) -> bool:
+    """Whether a ``# repro: noqa`` directive on the finding's line covers it."""
+    if finding.line not in noqa:
+        return False
+    codes = noqa[finding.line]
+    return codes is None or finding.code in codes
+
+
 def _apply_noqa(
     findings: Iterable[Finding], noqa: Dict[int, Optional[Set[str]]]
 ) -> List[Finding]:
-    kept = []
-    for finding in findings:
-        codes = noqa.get(finding.line, "missing")
-        if codes == "missing":
-            kept.append(finding)
-        elif codes is not None and finding.code not in codes:
-            kept.append(finding)
-    return kept
+    return [finding for finding in findings if not suppressed(finding, noqa)]
+
+
+def run_rules(
+    module: ModuleInfo, rules: Optional[Sequence[Type[Rule]]] = None
+) -> List[Finding]:
+    """Findings of the per-file rules on one module, before noqa."""
+    if rules is None:
+        from repro.devtools.lint.rules import RULES
+
+        rules = RULES
+    findings: List[Finding] = []
+    for rule_class in rules:
+        findings.extend(rule_class(module).run())
+    return findings
 
 
 def lint_source(
@@ -369,28 +399,16 @@ def lint_source(
     path: str = "<string>",
     rules: Optional[Sequence[Type[Rule]]] = None,
 ) -> List[Finding]:
-    """Lint one source string; returns sorted, noqa-filtered findings."""
-    if rules is None:
-        from repro.devtools.lint.rules import RULES
-
-        rules = RULES
+    """Run the per-file rules on one source string; returns sorted,
+    noqa-filtered findings."""
     try:
         tree = ast.parse(source)
     except SyntaxError as error:
-        return [
-            Finding(
-                code="RPL000",
-                message=f"syntax error: {error.msg}",
-                path=path,
-                line=error.lineno or 1,
-                col=(error.offset or 1) - 1,
-            )
-        ]
+        return [parse_error(error, path)]
     module = ModuleInfo(path=path, source=source, tree=tree)
-    findings: List[Finding] = []
-    for rule_class in rules:
-        findings.extend(rule_class(module).run())
-    return sorted(_apply_noqa(findings, module.noqa), key=Finding.sort_key)
+    return sorted(
+        _apply_noqa(run_rules(module, rules), module.noqa), key=Finding.sort_key
+    )
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
@@ -401,14 +419,3 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
             yield from sorted(path.rglob("*.py"))
         else:
             yield path
-
-
-def lint_paths(
-    paths: Sequence[str], rules: Optional[Sequence[Type[Rule]]] = None
-) -> List[Finding]:
-    """Lint every ``.py`` file under the given files/directories."""
-    findings: List[Finding] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, path=str(file_path), rules=rules))
-    return sorted(findings, key=Finding.sort_key)

@@ -1,23 +1,31 @@
 """The ``RPL`` rule pack: determinism, vectorization, and API hygiene.
 
-Codes are grouped by decade:
+``repro lint`` checks every code in one run.  The per-file rules are the
+:class:`~repro.devtools.lint.engine.Rule` classes below; the
+whole-program codes come from the passes of :mod:`repro.devtools.flow`.
+:data:`RULE_TABLE` lists all of them.  Codes are grouped by decade:
 
-- ``RPL000``     -- file could not be parsed (emitted by the engine).
+- ``RPL000``     -- file could not be parsed.
 - ``RPL001-009`` -- RNG discipline: all randomness flows through
   :mod:`repro.stats.rng` from explicit seeds.
-- ``RPL010-019`` -- determinism hazards: wall clocks, randomized hashes,
-  and unordered-set iteration must not shape stochastic output.
-- ``RPL020-029`` -- vectorization guards for the modules the batched
-  engine declares hot (:data:`BATCHED_MODULE_SUFFIXES`), the
-  columnar store's array paths (:data:`STORE_MODULE_PATH_PARTS`), and
-  the segment-dispatch modules (:data:`SEGMENT_MODULE_SUFFIXES`).
+- ``RPL011``     -- unordered-set iteration must not shape stochastic
+  output.
+- ``RPL020-029`` -- vectorization guards: no per-element loops in the
+  modules of :data:`VECTORIZED_MODULE_SCOPES`, no array growth in loops
+  in the batched engine (:data:`BATCHED_MODULE_SUFFIXES`).
 - ``RPL030-039`` -- API hygiene: mutable defaults, float equality,
   ``__all__`` drift.
 - ``RPL040-049`` -- virtual-time discipline: the always-on service
   (:data:`SERVICE_MODULE_PATH_PARTS`) must take time from its event
   loop, never from the wall clock.
+- ``RPL101-102`` -- RNG provenance, whole-program: Generators are born
+  in :mod:`repro.stats.rng`, and no wall clock or builtin ``hash``
+  reaches a seed through any chain of calls.
+- ``RPL110-113`` -- process-boundary escape: nothing that cannot cross
+  into a worker reaches a process-pool payload.
+- ``RPL120-123`` -- ``@pure`` kernel contracts.
 
-Suppress a finding with ``# repro: noqa=RPL0xx -- justification`` on the
+Suppress a finding with ``# repro: noqa=RPLxxx -- justification`` on the
 offending line.  Two structural allowlists live here, next to the rules
 they parameterize: :data:`RNG_HELPER_MODULE_SUFFIXES` (the coercion
 helpers are allowed to touch numpy's seeding primitives -- they are the
@@ -29,12 +37,12 @@ detection on exact stored prices).
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.devtools.lint.engine import Rule
+from repro.devtools.lint.engine import PARSE_ERROR_CODE, Rule
 
-#: Modules whose hot paths are declared vectorized (PR 1's batched
-#: engine); the RPL02x guards only fire inside these.
+#: The batched engine's modules (RPL021 fires inside these).  Scope
+#: tables list module suffixes and, ending in ``/``, package directories.
 BATCHED_MODULE_SUFFIXES = (
     "repro/core/engine.py",
     "repro/core/models.py",
@@ -45,21 +53,19 @@ BATCHED_MODULE_SUFFIXES = (
 #: discipline rules because it is the layer they force everyone through.
 RNG_HELPER_MODULE_SUFFIXES = ("repro/stats/rng.py",)
 
-#: Path fragments identifying the columnar store, whose row loops are
-#: expected to stay batched (the RPL022 guard fires inside these).
-STORE_MODULE_PATH_PARTS = ("repro/store/",)
-
-#: Modules that resolve persona segments over user populations; their
-#: contract is one kernel invocation per segment block, so the RPL023
-#: guard fires inside these.
-SEGMENT_MODULE_SUFFIXES = (
+#: Where RPL020 holds code to array operations: the batched engine, the
+#: columnar store (data moves as columns, not rows), and the modules
+#: that resolve persona segments (one kernel call per segment block,
+#: grouped by :func:`repro.core.engine.partition_by_blocks`).
+VECTORIZED_MODULE_SCOPES = BATCHED_MODULE_SUFFIXES + (
+    "repro/store/",
     "repro/marketplace/segments.py",
     "repro/marketplace/behavior.py",
     "repro/workload/sharding.py",
 )
 
-#: Path fragments identifying the always-on service, which runs on the
-#: virtual clock (the RPL040 guard fires inside these).
+#: The always-on service, which runs on the virtual clock (the RPL040
+#: guard fires inside it).
 SERVICE_MODULE_PATH_PARTS = ("repro/service/",)
 
 #: (module suffix, function qualname) pairs whose float equality is the
@@ -84,10 +90,6 @@ _MODERN_NUMPY_RANDOM = frozenset(
     }
 )
 
-_SEED_COERCERS = frozenset(
-    {"make_rng", "spawn_rngs", "derive_seed", "make_seed_sequence"}
-)
-
 _CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -105,18 +107,14 @@ _CLOCK_CALLS = frozenset(
 )
 
 
-def _normalized(path: str) -> str:
-    return path.replace("\\", "/")
-
-
-def _path_matches(path: str, suffixes: Sequence[str]) -> bool:
-    normalized = _normalized(path)
-    return any(normalized.endswith(suffix) for suffix in suffixes)
-
-
-def _path_within(path: str, parts: Sequence[str]) -> bool:
-    normalized = _normalized(path)
-    return any(part in normalized for part in parts)
+def in_scope(path: str, scopes: Sequence[str]) -> bool:
+    """Whether a path falls in a scope table (module suffixes, or
+    package directories when the entry ends in ``/``)."""
+    normalized = path.replace("\\", "/")
+    return any(
+        scope in normalized if scope.endswith("/") else normalized.endswith(scope)
+        for scope in scopes
+    )
 
 
 def _has_seed_parameter(node: ast.FunctionDef) -> bool:
@@ -202,7 +200,7 @@ class UncoercedSeedRule(Rule):
     )
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if _path_matches(self.module.path, RNG_HELPER_MODULE_SUFFIXES):
+        if in_scope(self.module.path, RNG_HELPER_MODULE_SUFFIXES):
             return
         if _has_seed_parameter(node):
             for call in ast.walk(node):
@@ -245,7 +243,7 @@ class GeneratorInLoopRule(Rule):
     )
 
     def visit_Call(self, node: ast.Call) -> None:
-        if not _path_matches(self.module.path, RNG_HELPER_MODULE_SUFFIXES):
+        if not in_scope(self.module.path, RNG_HELPER_MODULE_SUFFIXES):
             dotted = self.module.resolve_dotted(node.func)
             if dotted in self._TARGETS and self.module.in_loop(node):
                 self.report(
@@ -254,197 +252,6 @@ class GeneratorInLoopRule(Rule):
                     "hoist the Generator out (or use "
                     "repro.stats.rng.spawn_rngs for per-iteration streams)",
                 )
-        self.generic_visit(node)
-
-
-class GeneratorAcrossProcessRule(Rule):
-    """RPL005: no Generator objects shipped across process boundaries.
-
-    A ``np.random.Generator`` submitted to a process pool is pickled,
-    so parent and child each advance a *copy* of the same stream: the
-    worker's draws silently duplicate draws the parent (or a sibling
-    worker) will also make.  Ship seeds (or ``SeedSequence`` children)
-    and construct the Generator on the worker side -- the pattern both
-    replication and the sharded campaign runner use.
-    """
-
-    code = "RPL005"
-    name = "generator-across-process"
-    summary = (
-        "np.random.Generator passed into a process-pool dispatch "
-        "(submit/map/apply_async); pass a seed and build the Generator "
-        "in the worker instead"
-    )
-
-    _DISPATCH_METHODS = frozenset(
-        {
-            "submit",
-            "map",
-            "map_async",
-            "starmap",
-            "starmap_async",
-            "apply",
-            "apply_async",
-            "imap",
-            "imap_unordered",
-        }
-    )
-
-    _RNG_FACTORIES = frozenset(
-        {
-            "numpy.random.default_rng",
-            "numpy.random.Generator",
-            "repro.stats.rng.make_rng",
-            "repro.stats.rng.spawn_rngs",
-        }
-    )
-
-    def __init__(self, module) -> None:
-        super().__init__(module)
-        self._rng_names: set = set()
-
-    def _is_rng_value(self, value: ast.AST) -> bool:
-        if isinstance(value, ast.Call):
-            return self.module.resolve_dotted(value.func) in self._RNG_FACTORIES
-        return False
-
-    def _is_rng_argument(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Name):
-            name = node.id
-            return (
-                name in self._rng_names
-                or name == "rng"
-                or name.endswith("_rng")
-                or name.endswith("rngs")
-            )
-        if isinstance(node, ast.Starred):
-            return self._is_rng_argument(node.value)
-        # Generators smuggled inside container displays or constructor
-        # arguments (tuples, lists, dicts, dataclass calls) are pickled
-        # all the same -- recurse one syntactic level at a time.
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            return any(self._is_rng_argument(elt) for elt in node.elts)
-        if isinstance(node, ast.Dict):
-            return any(
-                value is not None and self._is_rng_argument(value)
-                for value in node.values
-            )
-        if isinstance(node, ast.Call) and not self._is_rng_value(node):
-            operands = list(node.args)
-            operands += [keyword.value for keyword in node.keywords]
-            return any(self._is_rng_argument(operand) for operand in operands)
-        return self._is_rng_value(node)
-
-    def _is_rng_bundle(self, value: ast.AST) -> bool:
-        """Whether an assigned value visibly *carries* a Generator.
-
-        Container displays and constructor-style calls (a capitalized
-        callable, i.e. a dataclass/class) propagate their rng contents to
-        the assigned name; a plain function call does not -- ``simulate
-        (rng)`` returns results, not the Generator.  The flow analyzer
-        (RPL110) handles those interprocedural cases.
-        """
-        if self._is_rng_value(value):
-            return True
-        if isinstance(value, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
-            return self._is_rng_argument(value)
-        if isinstance(value, ast.Call):
-            callee = value.func
-            name = callee.attr if isinstance(callee, ast.Attribute) else (
-                callee.id if isinstance(callee, ast.Name) else ""
-            )
-            if name[:1].isupper():
-                return self._is_rng_argument(value)
-        return False
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._is_rng_bundle(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self._rng_names.add(target.id)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in self._DISPATCH_METHODS
-        ):
-            offenders = [
-                arg for arg in node.args if self._is_rng_argument(arg)
-            ]
-            offenders += [
-                keyword.value
-                for keyword in node.keywords
-                if self._is_rng_argument(keyword.value)
-            ]
-            for offender in offenders:
-                self.report(
-                    offender,
-                    f"Generator shipped through .{func.attr}() is pickled "
-                    "into the worker, duplicating the parent's stream; "
-                    "pass a seed (SeedSequence child) and make_rng in the "
-                    "worker",
-                )
-        self.generic_visit(node)
-
-
-class NondeterministicSeedSourceRule(Rule):
-    """RPL010: wall clocks and randomized hashes must not feed seeds."""
-
-    code = "RPL010"
-    name = "nondeterministic-seed-source"
-    summary = (
-        "no time.time / datetime.now / builtin hash() feeding seeds or "
-        "sampling; repro.stats.rng.stable_hash and explicit seeds exist "
-        "for this"
-    )
-
-    def _in_seed_context(self, node: ast.Call) -> bool:
-        for ancestor in self.module.ancestors(node):
-            if isinstance(ancestor, ast.keyword):
-                if ancestor.arg is not None and "seed" in ancestor.arg.lower():
-                    return True
-            elif isinstance(ancestor, ast.Call) and ancestor is not node:
-                dotted = self.module.resolve_dotted(ancestor.func) or ""
-                if dotted.rsplit(".", 1)[-1] in _SEED_COERCERS or dotted in (
-                    "numpy.random.default_rng",
-                    "numpy.random.SeedSequence",
-                ):
-                    return True
-            elif isinstance(ancestor, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    ancestor.targets
-                    if isinstance(ancestor, ast.Assign)
-                    else [ancestor.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name) and "seed" in target.id.lower():
-                        return True
-            elif isinstance(ancestor, ast.stmt):
-                return False
-        return False
-
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = self.module.resolve_dotted(node.func)
-        is_clock = dotted in _CLOCK_CALLS
-        is_hash = (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "hash"
-            and node.func.id not in self.module.imported_names
-        )
-        if (is_clock or is_hash) and self._in_seed_context(node):
-            source = "builtin hash()" if is_hash else dotted
-            hint = (
-                "repro.stats.rng.stable_hash"
-                if is_hash
-                else "an explicit seed argument"
-            )
-            self.report(
-                node,
-                f"{source} feeds a seed; runs become unreproducible -- "
-                f"use {hint} instead",
-            )
         self.generic_visit(node)
 
 
@@ -484,14 +291,22 @@ class SetIterationRule(Rule):
 
 
 class NdarrayElementLoopRule(Rule):
-    """RPL020: per-element loops over ndarrays in batched modules."""
+    """RPL020: per-element loops over ndarrays in vectorized modules.
+
+    One check for every module of :data:`VECTORIZED_MODULE_SCOPES`: a
+    loop that walks an ndarray element by element -- a per-row
+    ``.append`` in the store, a per-user walk in the segment dispatch,
+    a per-event loop in the engine -- brings back the interpreter cost
+    the array layout exists to remove.
+    """
 
     code = "RPL020"
     name = "ndarray-element-loop"
     summary = (
-        "no per-element for-loop over an ndarray in modules declared "
-        "batched (repro.core.engine, repro.core.models, "
-        "repro.stats.sampling); vectorize or justify with a noqa"
+        "no per-element for-loop over an ndarray in the vectorized "
+        "modules (batched engine, repro.store, segment dispatch); use "
+        "array operations, .tolist() on a declared compatibility path, "
+        "or one kernel call per partition_by_blocks block"
     )
 
     _WRAPPERS = frozenset({"zip", "enumerate", "reversed"})
@@ -517,20 +332,20 @@ class NdarrayElementLoopRule(Rule):
             )
             self.report(
                 iterable,
-                f"per-element iteration over {described} in a batched "
+                f"per-element iteration over {described} in a vectorized "
                 "module; express this as array operations (or .tolist() "
                 "explicitly on a declared compatibility path)",
             )
 
     def visit_For(self, node: ast.For) -> None:
-        if _path_matches(self.module.path, BATCHED_MODULE_SUFFIXES):
+        if in_scope(self.module.path, VECTORIZED_MODULE_SCOPES):
             self._check_iterable(node.iter)
         self.generic_visit(node)
 
     visit_AsyncFor = visit_For
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
-        if _path_matches(self.module.path, BATCHED_MODULE_SUFFIXES):
+        if in_scope(self.module.path, VECTORIZED_MODULE_SCOPES):
             self._check_iterable(node.iter)
         self.generic_visit(node)
 
@@ -557,7 +372,7 @@ class ArrayGrowthInLoopRule(Rule):
     )
 
     def visit_Call(self, node: ast.Call) -> None:
-        if _path_matches(self.module.path, BATCHED_MODULE_SUFFIXES):
+        if in_scope(self.module.path, BATCHED_MODULE_SUFFIXES):
             dotted = self.module.resolve_dotted(node.func)
             if dotted in self._TARGETS and self.module.in_loop(node):
                 self.report(
@@ -566,120 +381,6 @@ class ArrayGrowthInLoopRule(Rule):
                     "reallocates the array every iteration; append to a "
                     "list and concatenate once after the loop",
                 )
-        self.generic_visit(node)
-
-
-class ColumnAppendLoopRule(Rule):
-    """RPL022: per-row append loops over column arrays in repro.store.
-
-    The store's whole point is that data moves as columns: a loop that
-    walks an ndarray column and ``.append``-s values one row at a time
-    re-introduces the O(rows) Python-interpreter cost the chunk layout
-    removed.  Batch the transfer (``list.extend(column.tolist())``) or
-    express the transform as array operations.
-    """
-
-    code = "RPL022"
-    name = "column-append-loop"
-    summary = (
-        "no per-row list.append loop over ndarray columns inside "
-        "repro.store modules; batch the rows with "
-        ".extend(column.tolist()) or a vectorized transform"
-    )
-
-    _WRAPPERS = frozenset({"zip", "enumerate", "reversed"})
-
-    def _iterates_ndarray(self, iterable: ast.AST) -> bool:
-        if self.module.expression_kind(iterable) == "ndarray":
-            return True
-        if isinstance(iterable, ast.Call):
-            dotted = self.module.resolve_dotted(iterable.func)
-            if dotted in self._WRAPPERS:
-                return any(
-                    self.module.expression_kind(argument) == "ndarray"
-                    for argument in iterable.args
-                )
-        return False
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if _path_within(self.module.path, STORE_MODULE_PATH_PARTS):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "append":
-                for ancestor in self.module.ancestors(node):
-                    if isinstance(
-                        ancestor, (ast.For, ast.AsyncFor)
-                    ) and self._iterates_ndarray(ancestor.iter):
-                        self.report(
-                            node,
-                            "per-row .append over an ndarray column; batch "
-                            "the rows with .extend(column.tolist()) or a "
-                            "vectorized transform instead",
-                        )
-                        break
-        self.generic_visit(node)
-
-
-class SegmentUserLoopRule(Rule):
-    """RPL023: per-user Python loops in segment-aware modules.
-
-    The persona-segment contract is one kernel invocation per segment:
-    a mixed-segment user batch is grouped by
-    :func:`repro.core.engine.partition_by_blocks` and each contiguous
-    block moves through the vectorized engine whole.  A Python loop
-    that walks a user/app ndarray element-by-element inside these
-    modules re-introduces the O(users)-per-segment interpreter cost
-    the block dispatch exists to remove.
-    """
-
-    code = "RPL023"
-    name = "segment-user-loop"
-    summary = (
-        "no per-element loop over user/app ndarrays in segment-aware "
-        "modules (repro.marketplace.segments, "
-        "repro.marketplace.behavior, repro.workload.sharding); group "
-        "the batch with partition_by_blocks and hand whole segment "
-        "blocks to one kernel call"
-    )
-
-    _WRAPPERS = frozenset({"zip", "enumerate", "reversed"})
-
-    def _ndarray_operand(self, iterable: ast.AST) -> Optional[ast.AST]:
-        if self.module.expression_kind(iterable) == "ndarray":
-            return iterable
-        if isinstance(iterable, ast.Call):
-            dotted = self.module.resolve_dotted(iterable.func)
-            if dotted in self._WRAPPERS:
-                for argument in iterable.args:
-                    if self.module.expression_kind(argument) == "ndarray":
-                        return argument
-        return None
-
-    def _check_iterable(self, iterable: ast.AST) -> None:
-        operand = self._ndarray_operand(iterable)
-        if operand is not None:
-            described = (
-                f"ndarray {operand.id!r}"
-                if isinstance(operand, ast.Name)
-                else "an ndarray expression"
-            )
-            self.report(
-                iterable,
-                f"per-element iteration over {described} in a "
-                "segment-aware module; group the users with "
-                "partition_by_blocks and dispatch each segment block "
-                "through one kernel call instead",
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        if _path_matches(self.module.path, SEGMENT_MODULE_SUFFIXES):
-            self._check_iterable(node.iter)
-        self.generic_visit(node)
-
-    visit_AsyncFor = visit_For
-
-    def visit_comprehension(self, node: ast.comprehension) -> None:
-        if _path_matches(self.module.path, SEGMENT_MODULE_SUFFIXES):
-            self._check_iterable(node.iter)
         self.generic_visit(node)
 
 
@@ -757,13 +458,11 @@ class FloatEqualityRule(Rule):
 
     def _allowlisted(self, node: ast.AST) -> bool:
         qualname = self.module.qualname(node)
-        normalized = _normalized(self.module.path)
-        for suffix, allowed_qualname in FLOAT_EQ_ALLOWLIST:
-            if normalized.endswith(suffix) and qualname.endswith(
-                allowed_qualname
-            ):
-                return True
-        return False
+        return any(
+            in_scope(self.module.path, (suffix,))
+            and qualname.endswith(allowed_qualname)
+            for suffix, allowed_qualname in FLOAT_EQ_ALLOWLIST
+        )
 
     def visit_Compare(self, node: ast.Compare) -> None:
         operands = [node.left] + list(node.comparators)
@@ -850,7 +549,7 @@ class DunderAllDriftRule(Rule):
 
 
 #: Wall-time sources that poison virtual-clock determinism: the clock
-#: reads RPL010 knows about, plus blocking sleeps.
+#: reads, plus blocking sleeps.
 _WALL_TIME_CALLS = frozenset(_CLOCK_CALLS | {"time.sleep"})
 
 
@@ -867,7 +566,7 @@ class WallClockInServiceRule(Rule):
     )
 
     def visit_Call(self, node: ast.Call) -> None:
-        if _path_within(self.module.path, SERVICE_MODULE_PATH_PARTS):
+        if in_scope(self.module.path, SERVICE_MODULE_PATH_PARTS):
             dotted = self.module.resolve_dotted(node.func)
             if dotted in _WALL_TIME_CALLS:
                 if dotted == "time.sleep":
@@ -883,21 +582,114 @@ class WallClockInServiceRule(Rule):
         self.generic_visit(node)
 
 
-#: The shipped rule pack, in code order.
+#: The per-file rules, in code order.
 RULES: Tuple[Type[Rule], ...] = (
     LegacyNumpyRandomRule,
     StdlibRandomRule,
     UncoercedSeedRule,
     GeneratorInLoopRule,
-    GeneratorAcrossProcessRule,
-    NondeterministicSeedSourceRule,
     SetIterationRule,
     NdarrayElementLoopRule,
     ArrayGrowthInLoopRule,
-    ColumnAppendLoopRule,
-    SegmentUserLoopRule,
     MutableDefaultRule,
     FloatEqualityRule,
     DunderAllDriftRule,
     WallClockInServiceRule,
+)
+
+#: Codes of the whole-program passes (:mod:`repro.devtools.flow`), which
+#: build their findings directly rather than through :class:`Rule`.
+PROGRAM_RULES: Tuple[Dict[str, str], ...] = (
+    {
+        "code": "RPL101",
+        "name": "unsanctioned-rng-construction",
+        "summary": (
+            "modern numpy RNG constructors (default_rng, Generator, "
+            "SeedSequence, bit generators) called outside repro.stats.rng; "
+            "Generator provenance must reach the central coercers"
+        ),
+    },
+    {
+        "code": "RPL102",
+        "name": "nondeterministic-seed-flow",
+        "summary": (
+            "wall-clock or builtin-hash value reaches a seed sink through "
+            "any chain of assignments, returns, and calls"
+        ),
+    },
+    {
+        "code": "RPL110",
+        "name": "generator-escapes-to-worker",
+        "summary": (
+            "np.random.Generator reachable from a process-pool dispatch "
+            "payload; pickling duplicates the stream in the worker"
+        ),
+    },
+    {
+        "code": "RPL111",
+        "name": "mmap-escapes-to-worker",
+        "summary": (
+            "mmap-backed store handle or array reachable from a "
+            "process-pool dispatch payload; mappings cannot cross processes"
+        ),
+    },
+    {
+        "code": "RPL112",
+        "name": "file-handle-escapes-to-worker",
+        "summary": (
+            "open file handle reachable from a process-pool dispatch "
+            "payload; pass the path and open in the worker"
+        ),
+    },
+    {
+        "code": "RPL113",
+        "name": "metrics-registry-escapes-to-worker",
+        "summary": (
+            "MetricsRegistry reachable from a process-pool dispatch "
+            "payload; workers keep private registries merged after join"
+        ),
+    },
+    {
+        "code": "RPL120",
+        "name": "pure-kernel-writes-shared-state",
+        "summary": (
+            "@pure kernel writes globals/closures/self/arguments or "
+            "through values it does not own"
+        ),
+    },
+    {
+        "code": "RPL121",
+        "name": "pure-kernel-does-io",
+        "summary": "@pure kernel performs I/O",
+    },
+    {
+        "code": "RPL122",
+        "name": "pure-kernel-reads-clock",
+        "summary": "@pure kernel reads the wall clock",
+    },
+    {
+        "code": "RPL123",
+        "name": "pure-kernel-unverified-callee",
+        "summary": (
+            "@pure kernel calls something the analyzer cannot verify; "
+            "callees must be @pure or allowlisted numpy/builtin ops"
+        ),
+    },
+)
+
+#: Every code the analyzer reports, in code order: what ``--list-rules``
+#: prints, ``--select``/``--ignore`` accept, and SARIF describes.
+RULE_TABLE: Tuple[Dict[str, str], ...] = (
+    (
+        {
+            "code": PARSE_ERROR_CODE,
+            "name": "parse-error",
+            "summary": "file could not be parsed",
+        },
+    )
+    + tuple(
+        {"code": rule.code, "name": rule.name, "summary": rule.summary}
+        for rule in RULES
+    )
+    + PROGRAM_RULES
 )

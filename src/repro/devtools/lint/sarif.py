@@ -1,7 +1,7 @@
-"""SARIF 2.1.0 serialization shared by ``repro lint`` and ``repro flow``.
+"""SARIF 2.1.0 serialization for ``repro lint --sarif``.
 
 SARIF is the interchange format GitHub code scanning ingests, so one
-``upload-sarif`` step in CI turns both analyzers' findings into inline
+``upload-sarif`` step in CI turns the analyzer's findings into inline
 PR annotations.  The serializer is deliberately minimal: one run, one
 tool driver, rule metadata from the caller, and one result per finding
 with a physical location (SARIF columns are 1-based; ``Finding.col``
@@ -28,7 +28,7 @@ def to_sarif(
     """Build a SARIF log dict from findings plus rule metadata.
 
     ``rules`` entries carry ``code``, ``name``, and ``summary`` keys (the
-    shape both rule packs already expose).
+    shape of :data:`repro.devtools.lint.rules.RULE_TABLE`).
     """
     descriptors: List[Dict] = [
         {

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
+from repro.core.engine import MAX_DRAW_ATTEMPTS
 from repro.stats.sampling import AliasSampler
 from repro.stats.zipf import zipf_weights
 
@@ -40,25 +41,22 @@ class BehaviorParams:
     cluster_exponent:
         The paper's ``zc``: Zipf exponent of each category's internal
         ranking.
-    max_rejections:
-        Cap on fetch-at-most-once resampling attempts per download; when a
-        user has exhausted a category the engine falls back to the global
-        distribution, and gives up entirely after this many tries (the
-        download is skipped).
+
+    Fetch-at-most-once resampling stops after
+    :data:`repro.core.engine.MAX_DRAW_ATTEMPTS` tries per draw: a user
+    who has exhausted a category falls back to the global distribution,
+    and a download that still finds nothing new is skipped.
     """
 
     cluster_probability: float = 0.9
     global_exponent: float = 1.5
     cluster_exponent: float = 1.4
-    max_rejections: int = 64
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.cluster_probability <= 1.0:
             raise ValueError("cluster_probability must be in [0, 1]")
         if self.global_exponent < 0 or self.cluster_exponent < 0:
             raise ValueError("Zipf exponents must be non-negative")
-        if self.max_rejections < 1:
-            raise ValueError("max_rejections must be >= 1")
 
 
 @dataclass
@@ -162,7 +160,7 @@ class DownloadBehavior:
         # category preserves that ordering).
         self._category_members: Dict[int, np.ndarray] = {}
         self._category_samplers: Dict[int, AliasSampler] = {}
-        for category_index in np.unique(self._categories):  # repro: noqa=RPL023 -- sampler setup, O(categories) not O(users)
+        for category_index in np.unique(self._categories):  # repro: noqa=RPL020 -- sampler setup, O(categories) not O(users)
             members = np.flatnonzero(self._categories == category_index)
             weights = (
                 zipf_weights(members.size, params.cluster_exponent)
@@ -194,7 +192,7 @@ class DownloadBehavior:
     def _draw_global(
         self, state: UserState, day: int, rng: np.random.Generator
     ) -> Optional[int]:
-        for _ in range(self._params.max_rejections):
+        for _ in range(MAX_DRAW_ATTEMPTS):
             candidate = self._global_sampler.sample_one(rng)
             if candidate in state.downloaded:
                 continue
@@ -216,7 +214,7 @@ class DownloadBehavior:
         if sampler is None:
             return None
         members = self._category_members[category]
-        for _ in range(self._params.max_rejections):
+        for _ in range(MAX_DRAW_ATTEMPTS):
             candidate = int(members[sampler.sample_one(rng)])
             if candidate in state.downloaded:
                 continue

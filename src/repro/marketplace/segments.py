@@ -46,7 +46,7 @@ drives random partitions through the store to prove it.
 
 Population-wide work stays vectorized: code here touches each segment
 as one contiguous user block (never a per-user Python loop -- lint rule
-RPL023 guards this module).
+RPL020 guards this module).
 """
 
 from __future__ import annotations

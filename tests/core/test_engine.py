@@ -301,7 +301,6 @@ class TestSampleNewApps:
             lambda size: rng.integers(0, 8, size=size),
             users,
             ledger,
-            max_rejections=200,
         )
         served = apps[apps >= 0]
         assert np.unique(served).size == served.size
@@ -314,7 +313,6 @@ class TestSampleNewApps:
             lambda size: rng.integers(0, 2, size=size),
             np.zeros(3, dtype=np.int64),
             ledger,
-            max_rejections=50,
         )
         assert apps.tolist() == [-1, -1, -1]
 

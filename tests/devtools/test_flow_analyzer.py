@@ -1,10 +1,10 @@
-"""Fixture-driven tests of the whole-program flow analyzer.
+"""Fixture-driven tests of the whole-program passes of ``repro lint``.
 
-The acceptance bar for the analyzer is that each pass catches a
-cross-module violation the per-file RPL rules *provably* miss: every
-acceptance fixture below is asserted clean under ``lint_source`` before
-being asserted flagged by ``repro flow``.  The shipped-tree gate at the
-bottom pins ``src/repro`` at zero findings.
+The acceptance bar for the passes is that each catches a cross-module
+violation the per-file RPL rules *provably* miss: every acceptance
+fixture below is asserted clean under ``lint_source`` (per-file rules
+only) before being asserted flagged by ``analyze_paths`` (everything).
+The shipped-tree gate at the bottom pins ``src/repro`` at zero findings.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from typing import Dict, List
 
 import pytest
 
-from repro.devtools.flow.cli import analyze_paths
 from repro.devtools.flow.program import Program, module_name_for
-from repro.devtools.lint import lint_source
+from repro.devtools.lint import analyze_paths, lint_source
 from repro.devtools.lint.findings import Finding
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -76,11 +75,29 @@ def test_call_graph_links_cross_module_calls(tmp_path: Path) -> None:
     assert [site.caller.qualname for site in sites] == ["pkg.client.run"]
 
 
-def test_parse_error_becomes_rpl100(tmp_path: Path) -> None:
+def test_parse_error_becomes_rpl000(tmp_path: Path) -> None:
+    """One loader, one parse-error code, for the per-file rules and the
+    passes alike."""
     pkg = write_package(tmp_path, {"broken.py": "def f(:\n"})
     findings, modules = analyze_paths([str(pkg)])
-    assert [finding.code for finding in findings] == ["RPL100"]
+    assert [finding.code for finding in findings] == ["RPL000"]
     assert modules == 2  # __init__ plus the broken file
+
+
+def test_same_named_scripts_are_both_checked(tmp_path: Path) -> None:
+    """Scripts outside packages can share a module name; the per-file
+    rules and the passes must still see every file."""
+    for folder in ("first", "second"):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "script.py").write_text(
+            "import random\n", encoding="utf-8"
+        )
+    findings, files = analyze_paths([str(tmp_path)])
+    assert files == 2
+    assert sorted(Path(f.path).parent.name for f in findings) == [
+        "first",
+        "second",
+    ]
 
 
 # -- provenance (RPL101/RPL102) -------------------------------------------
@@ -135,8 +152,8 @@ CLOCK_TO_SEED = {
 
 
 def test_clock_taint_reaches_seed_through_helper(tmp_path: Path) -> None:
-    """The clock call and the seed sink live in different modules; the
-    per-file RPL010 sees neither half of the flow."""
+    """The clock call and the seed sink live in different modules; no
+    per-file rule sees either half of the flow."""
     pkg = write_package(tmp_path, CLOCK_TO_SEED)
     assert_lint_clean(pkg)
     codes = flow_codes(pkg)
@@ -194,8 +211,8 @@ STORE_IN_DATACLASS = {
 
 def test_store_handle_in_dataclass_escapes(tmp_path: Path) -> None:
     """Acceptance fixture (b): mmap-backed store rides into a worker
-    inside a dataclass built by a helper.  RPL005 tracks rng names, not
-    store handles, and cannot see through ``build_task``."""
+    inside a dataclass built by a helper.  No per-file rule tracks
+    store handles, let alone through ``build_task``."""
     pkg = write_package(tmp_path, STORE_IN_DATACLASS)
     assert_lint_clean(pkg)
     findings, _ = analyze_paths([str(pkg)])
@@ -254,6 +271,27 @@ def test_file_and_registry_escapes(tmp_path: Path) -> None:
         },
     )
     assert sorted(flow_codes(pkg)) == ["RPL112", "RPL113"]
+
+
+def test_rng_named_parameter_follows_its_callers(tmp_path: Path) -> None:
+    """A parameter's name counts as a Generator origin only when no
+    in-program caller says what it holds; here the caller ships seeds."""
+    pkg = write_package(
+        tmp_path,
+        {
+            "workers.py": (
+                "def _work(value):\n"
+                "    return value\n"
+                "\n"
+                "def sweep(pool, shard_rngs):\n"
+                "    return pool.map(_work, shard_rngs)\n"
+                "\n"
+                "def run(pool):\n"
+                "    return sweep(pool, [1, 2, 3])\n"
+            ),
+        },
+    )
+    assert flow_codes(pkg) == []
 
 
 def test_seeds_and_worker_callable_stay_quiet(tmp_path: Path) -> None:
@@ -425,20 +463,11 @@ def test_pure_decorator_is_zero_cost() -> None:
 
 
 def test_shipped_tree_has_zero_flow_findings(capsys: pytest.CaptureFixture) -> None:
-    """`repro flow src/repro` analyzes the whole tree in one invocation
-    and must be clean: one Program, three passes, zero findings."""
+    """`repro lint src/repro` analyzes the whole tree in one invocation
+    and must be clean: one Program, every rule, zero findings."""
     findings, modules = analyze_paths([str(SRC_REPRO)])
     assert findings == [], [finding.render() for finding in findings]
     assert modules > 80  # genuinely whole-program, not a subset
-
-
-def test_repro_cli_exposes_flow_subcommand(capsys: pytest.CaptureFixture) -> None:
-    from repro.cli import main as repro_main
-
-    exit_code = repro_main(["flow", "--list-rules"])
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert "RPL110" in captured.out
 
 
 def test_shipped_tree_has_contracted_kernels() -> None:

@@ -1,4 +1,10 @@
-"""CLI-level tests for ``repro flow``: formats, filters, baseline mode."""
+"""CLI-level tests for the whole-program rules (``RPL1xx``).
+
+The provenance, escape and purity passes of :mod:`repro.devtools.flow`
+report through ``repro lint``, the one analyzer CLI.  These tests drive
+that CLI on a file whose only finding is a whole-program one, so each
+format and filter is checked on the ``RPL1xx`` decade by itself.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.flow.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.devtools.flow.cli import FLOW_RULES, main as flow_main
-from repro.devtools.lint.findings import Finding
+from repro.devtools.lint.cli import main as lint_main
+from repro.devtools.lint.rules import PROGRAM_RULES, RULE_TABLE
 
 DIRTY_SOURCE = (
     "import numpy as np\n"
@@ -33,106 +34,65 @@ def test_json_output_on_dirty_file(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
     dirty = write_dirty(tmp_path)
-    exit_code = flow_main(["--format", "json", str(dirty)])
+    exit_code = lint_main(["--format", "json", str(dirty)])
     captured = capsys.readouterr()
     assert exit_code == 1
     payload = json.loads(captured.out)
-    assert payload["modules_checked"] == 1
-    assert payload["baselined"] == 0
+    assert payload["files_checked"] == 1
     assert [finding["code"] for finding in payload["findings"]] == ["RPL101"]
+    assert payload["findings"][0]["line"] == 4
 
 
 def test_sarif_output_names_the_flow_tool(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
+    """Whole-program findings are reported by the one tool, ``repro-lint``,
+    whose rule list carries every ``RPL1xx`` code."""
     dirty = write_dirty(tmp_path)
-    exit_code = flow_main(["--sarif", str(dirty)])
+    exit_code = lint_main(["--sarif", str(dirty)])
     captured = capsys.readouterr()
     assert exit_code == 1
     payload = json.loads(captured.out)
     run = payload["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-flow"
-    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-        rule["code"] for rule in FLOW_RULES
-    ]
-    assert run["results"][0]["ruleId"] == "RPL101"
+    assert run["tool"]["driver"]["name"] == "repro-lint"
+    listed = [r["id"] for r in run["tool"]["driver"]["rules"]]
+    for rule in PROGRAM_RULES:
+        assert rule["code"] in listed
+    assert [r["ruleId"] for r in run["results"]] == ["RPL101"]
+    assert run["results"][0]["ruleIndex"] == listed.index("RPL101")
 
 
 def test_select_and_ignore_filters(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
     dirty = write_dirty(tmp_path)
-    assert flow_main(["--select", "RPL102", str(dirty)]) == 0
+    assert lint_main(["--select", "RPL102", str(dirty)]) == 0
     capsys.readouterr()
-    assert flow_main(["--ignore", "RPL101", str(dirty)]) == 0
+    assert lint_main(["--ignore", "RPL101", str(dirty)]) == 0
     capsys.readouterr()
-    assert flow_main(["--select", "RPL101", str(dirty)]) == 1
+    assert lint_main(["--select", "RPL101", str(dirty)]) == 1
     capsys.readouterr()
 
 
 def test_unknown_code_and_missing_path_are_usage_errors(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
-    assert flow_main(["--select", "RPL999", str(tmp_path)]) == 2
+    assert lint_main(["--select", "RPL999", str(tmp_path)]) == 2
     assert "RPL999" in capsys.readouterr().err
-    assert flow_main([str(tmp_path / "nope")]) == 2
+    # The loader's parse error is RPL000; its old whole-program code is gone.
+    assert lint_main(["--select", "RPL100", str(tmp_path)]) == 2
+    assert "RPL100" in capsys.readouterr().err
+    assert lint_main([str(tmp_path / "nope")]) == 2
     assert "no such path" in capsys.readouterr().err
 
 
 def test_list_rules_mentions_every_flow_code(
     capsys: pytest.CaptureFixture,
 ) -> None:
-    assert flow_main(["--list-rules"]) == 0
+    assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in FLOW_RULES:
+    for rule in PROGRAM_RULES:
         assert rule["code"] in out
-
-
-def test_baseline_roundtrip_gates_only_new_findings(
-    tmp_path: Path, capsys: pytest.CaptureFixture
-) -> None:
-    dirty = write_dirty(tmp_path)
-    baseline = tmp_path / "flow-baseline.json"
-
-    assert flow_main(["--write-baseline", str(baseline), str(dirty)]) == 0
-    assert "wrote baseline with 1 findings" in capsys.readouterr().out
-
-    # The recorded finding no longer fails the gate...
-    assert flow_main(["--baseline", str(baseline), str(dirty)]) == 0
-    assert "0 new findings (1 baselined)" in capsys.readouterr().out
-
-    # ...but a second, unrecorded violation does.
-    dirty.write_text(
-        DIRTY_SOURCE + "\ndef again():\n    return np.random.default_rng()\n",
-        encoding="utf-8",
-    )
-    assert flow_main(["--baseline", str(baseline), str(dirty)]) == 1
-    assert "1 new finding (1 baselined)" in capsys.readouterr().out
-
-
-def test_baseline_matches_on_message_not_line(tmp_path: Path) -> None:
-    finding = Finding(
-        code="RPL101", message="msg", path="pkg/a.py", line=10, col=0
-    )
-    moved = Finding(code="RPL101", message="msg", path="pkg/a.py", line=99, col=4)
-    baseline = tmp_path / "b.json"
-    write_baseline([finding], str(baseline))
-    fresh, suppressed = apply_baseline([moved], load_baseline(str(baseline)))
-    assert fresh == [] and suppressed == 1
-
-
-def test_baseline_version_mismatch_is_an_error(
-    tmp_path: Path, capsys: pytest.CaptureFixture
-) -> None:
-    dirty = write_dirty(tmp_path)
-    stale = tmp_path / "stale.json"
-    stale.write_text('{"version": 99, "findings": []}', encoding="utf-8")
-    assert flow_main(["--baseline", str(stale), str(dirty)]) == 2
-    assert "baseline" in capsys.readouterr().err
-
-
-def test_committed_baseline_is_empty() -> None:
-    """The repository ships at zero findings; the baseline must agree."""
-    repo_root = Path(__file__).resolve().parents[2]
-    budget = load_baseline(str(repo_root / "flow-baseline.json"))
-    assert sum(budget.values()) == 0
+    # The whole-program codes close the one rule table.
+    codes = [rule["code"] for rule in RULE_TABLE]
+    assert codes[-len(PROGRAM_RULES):] == [rule["code"] for rule in PROGRAM_RULES]

@@ -1,4 +1,4 @@
-"""SARIF serializer tests, shared by ``repro lint`` and ``repro flow``."""
+"""SARIF serializer tests, and the SARIF output of ``repro lint``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint.cli import RULE_DESCRIPTORS, main as lint_main
+from repro.devtools.lint import RULE_TABLE
+from repro.devtools.lint.cli import main as lint_main
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.sarif import (
     SARIF_SCHEMA,
@@ -61,15 +62,25 @@ def test_render_sarif_is_valid_json() -> None:
 def test_lint_cli_sarif_output(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
+    """One SARIF run carries both rule decades: a per-file finding and a
+    whole-program one, each indexed into the one rule table."""
     dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\n", encoding="utf-8")
+    dirty.write_text(
+        "import random\n"
+        "import numpy as np\n"
+        "rng = np.random.default_rng()\n",
+        encoding="utf-8",
+    )
     exit_code = lint_main(["--sarif", str(dirty)])
     captured = capsys.readouterr()
     assert exit_code == 1
     payload = json.loads(captured.out)
     run = payload["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-        rule["code"] for rule in RULE_DESCRIPTORS
+    codes = [rule["code"] for rule in RULE_TABLE]
+    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == codes
+    assert [r["ruleId"] for r in run["results"]] == ["RPL002", "RPL101"]
+    assert [r["ruleIndex"] for r in run["results"]] == [
+        codes.index("RPL002"),
+        codes.index("RPL101"),
     ]
-    assert [r["ruleId"] for r in run["results"]] == ["RPL002"]

@@ -1,9 +1,9 @@
 """Edge-case tests for the ``# repro: noqa`` suppression parser.
 
-The directive grammar is shared by ``repro lint`` and ``repro flow``
-(both filter through ``_apply_noqa``), so its corner cases -- multi-code
-lists, bare directives, missing reasons, and exact-line placement around
-decorators -- are pinned here once.
+``repro lint`` applies the directives once, to per-file and
+whole-program findings alike, so the grammar's corner cases --
+multi-code lists, bare directives, missing reasons, and exact-line
+placement around decorators -- are pinned here once.
 """
 
 from __future__ import annotations
@@ -18,20 +18,20 @@ def _finding(code: str, line: int) -> Finding:
 
 
 def test_multi_code_directive_suppresses_each_listed_code() -> None:
-    source = "value = risky()  # repro: noqa=RPL003, RPL010 -- fixture\n"
+    source = "value = risky()  # repro: noqa=RPL003, RPL102 -- fixture\n"
     directives = parse_noqa_directives(source)
-    assert directives == {1: {"RPL003", "RPL010"}}
+    assert directives == {1: {"RPL003", "RPL102"}}
     kept = _apply_noqa(
-        [_finding("RPL003", 1), _finding("RPL010", 1), _finding("RPL001", 1)],
+        [_finding("RPL003", 1), _finding("RPL102", 1), _finding("RPL001", 1)],
         directives,
     )
     assert [finding.code for finding in kept] == ["RPL001"]
 
 
 def test_multi_code_whitespace_variants_parse_identically() -> None:
-    tight = parse_noqa_directives("x = 1  # repro: noqa=RPL003,RPL010\n")
-    spaced = parse_noqa_directives("x = 1  #repro:noqa = RPL003 , RPL010\n")
-    assert tight == spaced == {1: {"RPL003", "RPL010"}}
+    tight = parse_noqa_directives("x = 1  # repro: noqa=RPL003,RPL102\n")
+    spaced = parse_noqa_directives("x = 1  #repro:noqa = RPL003 , RPL102\n")
+    assert tight == spaced == {1: {"RPL003", "RPL102"}}
 
 
 def test_bare_directive_suppresses_every_code() -> None:

@@ -22,8 +22,6 @@ class TestBehaviorParams:
             BehaviorParams(cluster_probability=1.5)
         with pytest.raises(ValueError):
             BehaviorParams(global_exponent=-1.0)
-        with pytest.raises(ValueError):
-            BehaviorParams(max_rejections=0)
 
 
 class TestUserState:
