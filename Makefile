@@ -55,8 +55,10 @@ lint-mypy:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_perf_models.py -q -m bench_smoke -s
 
-# Behaviour oracle for the engine: the shape benches that consume the
-# workload models' event streams must keep their EXPERIMENTS.md claims.
+# Behaviour oracle for the engine and the model fits: the shape benches
+# that consume the workload models' event streams, and those that run the
+# APP-CLUSTERING grid fits (Figures 8-10 and the forecast), must keep
+# their EXPERIMENTS.md claims.
 bench-shapes:
 	$(PYTHON) -m pytest -q \
 		benchmarks/bench_fig19_cache.py \
@@ -64,7 +66,11 @@ bench-shapes:
 		benchmarks/bench_ablation_cluster_sizes.py \
 		benchmarks/bench_ablation_feedback.py \
 		benchmarks/bench_ablation_analytical.py \
-		benchmarks/bench_robustness.py
+		benchmarks/bench_robustness.py \
+		benchmarks/bench_fig08_model_fit.py \
+		benchmarks/bench_fig09_model_distance.py \
+		benchmarks/bench_fig10_user_sweep.py \
+		benchmarks/bench_forecast.py
 
 # Full reference benchmark (60k apps, 100k users, 1M downloads); appends
 # a record to BENCH_models.json.

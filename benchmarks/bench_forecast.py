@@ -29,7 +29,7 @@ def run_forecasts(database):
             float
         )
         distance = forecast.evaluate(observed[observed > 0])
-        problematic = find_problematic_apps(database, store)
+        problematic = find_problematic_apps(database, forecast)
         n_apps = observed[observed > 0].size
         results.append(
             (

@@ -69,7 +69,7 @@ def main() -> None:
         f"{forecast.predicted_total():,.0f} vs realized "
         f"{int(observed.sum()):,} (Eq. 6 distance {distance:.3f})"
     )
-    problematic = find_problematic_apps(database, store)
+    problematic = find_problematic_apps(database, forecast)
     print(f"   {len(problematic)} apps flagged as growing far below "
           f"their rank's expectation (candidates for recommendation help):")
     for app in problematic[:5]:

@@ -159,7 +159,7 @@ def full_report(
             f"vs realized {int(observed.sum()):,} (Eq. 6 distance "
             f"{distance:.3f})"
         )
-        problematic = find_problematic_apps(database, store)
+        problematic = find_problematic_apps(database, forecast)
         sections.append(
             f"{len(problematic)} apps growing far below their rank's "
             f"expectation"

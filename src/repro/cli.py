@@ -358,7 +358,7 @@ def _run_forecast(args) -> int:
         f"{int(observed.sum()):,} (Eq. 6 distance {distance:.3f}; fit "
         f"{forecast.fit.describe()})"
     )
-    problematic = find_problematic_apps(database, args.store)
+    problematic = find_problematic_apps(database, forecast)
     print(f"{len(problematic)} apps growing far below their rank's expectation")
     for app in problematic[: args.top]:
         print(

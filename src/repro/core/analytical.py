@@ -15,16 +15,23 @@ where ``P_G(i)`` is the global Zipf mass of rank ``i`` over ``A`` apps and
 probability treats selections as independent draws -- exactly the paper's
 approximation; fetch-at-most-once appears through the "did the user ever
 pick it" framing, which caps downloads at ``U``.
+
+The corrected curve that the grid-search fits score is solved for a
+whole (zr, zc, p) grid at once by :func:`corrected_curve_grid`, one
+``zr`` slice at a time, with every bisection of a slice run as one row
+of a 2-D array.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from dataclasses import replace
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.models import AppClusteringParams
-from repro.stats.zipf import generalized_harmonic
+from repro.stats.zipf import generalized_harmonic, zipf_weights
 
 
 def expected_downloads(
@@ -77,15 +84,21 @@ def expected_downloads(
 
 
 def _cluster_rank_layout(params: AppClusteringParams):
-    """Within-cluster ranks and cluster sizes from the cluster assignment."""
+    """Within-cluster ranks and cluster sizes from the cluster assignment.
+
+    An app's within-cluster rank is its 1-based position among its
+    cluster's apps in overall-rank order: a stable sort by cluster keeps
+    that order inside each cluster's run, and a run starts after the
+    apps of all lower-numbered clusters.
+    """
     clusters = params.cluster_assignment()
-    n_apps = params.n_apps
-    cluster_ranks = np.zeros(n_apps, dtype=np.int64)
-    sizes = np.zeros(int(clusters.max()) + 1, dtype=np.int64)
-    for app_index in range(n_apps):
-        cluster = clusters[app_index]
-        sizes[cluster] += 1
-        cluster_ranks[app_index] = sizes[cluster]
+    sizes = np.bincount(clusters)
+    order = np.argsort(clusters, kind="stable")
+    run_starts = np.cumsum(sizes) - sizes
+    cluster_ranks = np.empty(clusters.size, dtype=np.int64)
+    cluster_ranks[order] = (
+        np.arange(clusters.size) - run_starts[clusters[order]] + 1
+    )
     return clusters, cluster_ranks, sizes
 
 
@@ -110,6 +123,66 @@ def expected_download_curve(
     )
 
 
+# Bisection of the Poissonized intensity: the bracket doubles from 1.0
+# until it holds the budget, giving up past _MAX_INTENSITY, and is then
+# halved a fixed number of times.
+_MAX_INTENSITY = 1e18
+_HALVINGS = 100
+
+
+def _distinct_draw_rows(pmf: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Rows of :func:`distinct_draw_hit_probabilities`, solved together.
+
+    Row ``r`` draws ``budgets[r]`` distinct items from ``pmf[r]``, or from
+    the one shared ``pmf`` when it is 1-D; returns the ``(rows, items)``
+    hit probabilities.  A row runs exactly the float operations of a
+    lone bisection (``-expm1(-pmf * t)``, its row sum, ``(low + high) /
+    2.0``), and numpy reduces each C-contiguous row with the same
+    pairwise summation as a 1-D array, so a row's result is bit-identical
+    to solving it alone.
+    """
+    if not np.all(np.isfinite(pmf)) or np.any(pmf < 0):
+        raise ValueError("pmf entries must be finite and non-negative")
+    if np.any(budgets < 0):
+        raise ValueError("budget must be non-negative")
+    positive = np.broadcast_to(pmf > 0, (budgets.size, pmf.shape[-1]))
+    # A budget at or above the positive-mass count draws every such item.
+    saturated = budgets >= positive.sum(axis=1)
+    hits = np.where(saturated[:, None], positive, 0.0)
+    solve = (budgets > 0) & ~saturated
+    if solve.any():
+        neg_pmf = -(pmf[solve] if pmf.ndim == 2 else pmf)
+        hits[solve] = _bisect_intensity(neg_pmf, budgets[solve])
+    return hits
+
+
+def _bisect_intensity(neg_pmf: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Hit probabilities at the intensity ``T`` with ``budgets`` expected
+    distinct draws, one row per budget; ``neg_pmf`` is ``-pmf``."""
+
+    def expected_distinct(t: np.ndarray) -> np.ndarray:
+        return -np.expm1(neg_pmf * t[:, None]).sum(axis=1)
+
+    high = np.ones(budgets.size)
+    short = expected_distinct(high) < budgets
+    while short.any():
+        if np.any(high[short] > _MAX_INTENSITY):
+            raise ValueError(
+                "budget out of reach: the pmf yields fewer distinct draws "
+                f"than asked even at intensity {_MAX_INTENSITY:g}"
+            )
+        high[short] *= 2.0
+        short = expected_distinct(high) < budgets
+    low = np.zeros(budgets.size)
+    for _ in range(_HALVINGS):
+        mid = (low + high) / 2.0
+        below = expected_distinct(mid) < budgets
+        low = np.where(below, mid, low)
+        high = np.where(below, high, mid)
+    t_solution = (low + high) / 2.0
+    return -np.expm1(neg_pmf * t_solution[:, None])
+
+
 def distinct_draw_hit_probabilities(pmf: np.ndarray, budget: float) -> np.ndarray:
     """Per-item inclusion probability of ``budget`` distinct weighted draws.
 
@@ -120,34 +193,103 @@ def distinct_draw_hit_probabilities(pmf: np.ndarray, budget: float) -> np.ndarra
     with probability ``1 - exp(-pmf_j * T)`` where ``T`` solves
     ``sum_j (1 - exp(-pmf_j * T)) = budget``.  ``T`` is found by bisection
     (the left side is strictly increasing in ``T``).
+
+    A budget at or above the number of positive-mass items returns the
+    0/1 indicator of positive mass.  A budget the pmf cannot reach below
+    intensity ``1e18`` (items of vanishing mass) raises ``ValueError``, as
+    do negative or non-finite pmf entries.
     """
     pmf = np.asarray(pmf, dtype=np.float64)
     if pmf.ndim != 1 or pmf.size == 0:
         raise ValueError("pmf must be a non-empty 1-D array")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    n = pmf.size
-    if budget <= 0:
-        return np.zeros(n)
-    if budget >= n:
-        return np.ones(n)
+    return _distinct_draw_rows(pmf, np.array([float(budget)]))[0]
 
-    def expected_distinct(t: float) -> float:
-        return float(-np.expm1(-pmf * t).sum())
 
-    low, high = 0.0, 1.0
-    while expected_distinct(high) < budget:
-        high *= 2.0
-        if high > 1e18:
-            break
-    for _ in range(100):
-        mid = (low + high) / 2.0
-        if expected_distinct(mid) < budget:
-            low = mid
-        else:
-            high = mid
-    t_solution = (low + high) / 2.0
-    return -np.expm1(-pmf * t_solution)
+def corrected_curve_grid(
+    params: AppClusteringParams,
+    zr_grid: Sequence[float],
+    zc_grid: Sequence[float],
+    p_grid: Sequence[float],
+) -> Iterator[Tuple[AppClusteringParams, np.ndarray]]:
+    """:func:`expected_download_curve_corrected` over a parameter grid.
+
+    ``params`` gives the population (``A``, ``U``, ``D`` and the cluster
+    map); yields ``(point, curve)`` for every ``(zr, zc, p)`` in
+    ``itertools.product`` order, where ``point`` is ``params`` with that
+    grid point's exponents and ``p``.  Each curve is bit-identical to
+    solving its point alone.
+
+    The grid is walked one ``zr`` slice at a time, so the working set
+    stays at a few ``len(p_grid) * n_apps`` arrays plus the cluster rows:
+
+    - the global bisections of the slice (one per ``p``) run as the rows
+      of one 2-D array;
+    - within-cluster ranks are always ``1..size``, so all clusters of one
+      size share one pmf and one budget: the cluster bisections run once
+      per (distinct size, ``zc``, ``p``), as the rows of one array per
+      size (round-robin clusters have at most two sizes).
+    """
+    points = [
+        replace(params, zr=zr, zc=zc, p=p)
+        for zr, zc, p in itertools.product(zr_grid, zc_grid, p_grid)
+    ]
+    if not points:
+        return
+    n_zc, n_p = len(zc_grid), len(p_grid)
+    clusters, cluster_ranks, sizes = _cluster_rank_layout(params)
+    n_apps = params.n_apps
+    extra_downloads = max(params.downloads_per_user - 1.0, 0.0)
+    global_budgets = np.array(
+        [min(float(n_apps), 1.0 + (1.0 - p) * extra_downloads) for p in p_grid]
+    )
+    cluster_budget_totals = np.array([p * extra_downloads for p in p_grid])
+
+    # One pmf row per (size, zc), repeated for each p; each app reads its
+    # hit probability from its size's block at its within-cluster rank.
+    size_values = np.unique(sizes[sizes > 0])
+    cluster_pmfs = []
+    for size in size_values:
+        weights = np.stack([zipf_weights(size, zc) for zc in zc_grid])
+        pmfs = weights / weights.sum(axis=1, keepdims=True)
+        cluster_pmfs.append(np.repeat(pmfs, n_p, axis=0))
+    block_starts = np.cumsum(size_values) - size_values
+    app_column = (
+        block_starts[np.searchsorted(size_values, sizes[clusters])]
+        + cluster_ranks
+        - 1
+    )
+    p_rows = np.arange(n_p)[:, None]
+
+    product_order = iter(points)
+    for zr in zr_grid:
+        global_mass = zipf_weights(n_apps, zr) / generalized_harmonic(n_apps, zr)
+        hit_global = _distinct_draw_rows(global_mass, global_budgets)
+
+        # Visit probability per cluster: 1 - prod over members of their
+        # global miss probabilities (exact under the Poissonized process).
+        log_miss = np.log(np.clip(1.0 - hit_global, 1e-300, 1.0))
+        cluster_log_miss = np.zeros((n_p, sizes.size), dtype=np.float64)
+        np.add.at(cluster_log_miss, (p_rows, clusters), log_miss)
+        visit_probability = 1.0 - np.exp(cluster_log_miss)
+        expected_visited = np.maximum(visit_probability.sum(axis=1), 1.0)
+        per_cluster_budget = cluster_budget_totals / expected_visited
+
+        hit_table = np.concatenate(
+            [
+                _distinct_draw_rows(
+                    pmfs, np.tile(np.minimum(float(size), per_cluster_budget), n_zc)
+                ).reshape(n_zc, n_p, size)
+                for size, pmfs in zip(size_values, cluster_pmfs)
+            ],
+            axis=2,
+        )
+        miss_global = 1.0 - hit_global
+        visit = visit_probability[:, clusters]
+        for hit_cluster_rows in hit_table:
+            hit_cluster = hit_cluster_rows[:, app_column]
+            curves = params.n_users * (1.0 - miss_global * (1.0 - visit * hit_cluster))
+            for curve in curves:
+                yield next(product_order), curve
 
 
 def expected_download_curve_corrected(
@@ -182,43 +324,13 @@ def expected_download_curve_corrected(
     - an app ``(i, j)`` in cluster ``c`` is downloaded unless it is missed
       both globally and in its cluster:
       ``P = 1 - (1 - hit_G(i)) * (1 - v_c * hit_c(j))``.
+
+    This is the one-point case of :func:`corrected_curve_grid`.
     """
-    clusters, cluster_ranks, sizes = _cluster_rank_layout(params)
-    n_apps = params.n_apps
-    d = params.downloads_per_user
-
-    ranks = np.arange(1, n_apps + 1, dtype=np.float64)
-    global_mass = ranks**-params.zr / generalized_harmonic(n_apps, params.zr)
-
-    global_budget = min(float(n_apps), 1.0 + (1.0 - params.p) * max(d - 1.0, 0.0))
-    hit_global = distinct_draw_hit_probabilities(global_mass, global_budget)
-
-    # Visit probability per cluster: 1 - prod over members of their global
-    # miss probabilities (exact under the Poissonized process).
-    n_clusters = sizes.size
-    log_miss = np.log(np.clip(1.0 - hit_global, 1e-300, 1.0))
-    cluster_log_miss = np.zeros(n_clusters, dtype=np.float64)
-    np.add.at(cluster_log_miss, clusters, log_miss)
-    visit_probability = 1.0 - np.exp(cluster_log_miss)
-    expected_visited = max(float(visit_probability.sum()), 1.0)
-
-    cluster_budget_total = params.p * max(d - 1.0, 0.0)
-    per_cluster_budget = cluster_budget_total / expected_visited
-
-    hit_cluster = np.zeros(n_apps, dtype=np.float64)
-    for cluster_index in range(n_clusters):
-        members = np.flatnonzero(clusters == cluster_index)
-        if members.size == 0:
-            continue
-        member_ranks = cluster_ranks[members].astype(np.float64)
-        pmf = member_ranks**-params.zc
-        pmf /= pmf.sum()
-        budget = min(float(members.size), per_cluster_budget)
-        hit_cluster[members] = distinct_draw_hit_probabilities(pmf, budget)
-
-    v = visit_probability[clusters]
-    hit_probability = 1.0 - (1.0 - hit_global) * (1.0 - v * hit_cluster)
-    return params.n_users * hit_probability
+    ((_, curve),) = corrected_curve_grid(
+        params, (params.zr,), (params.zc,), (params.p,)
+    )
+    return curve
 
 
 def expected_zipf_at_most_once(

@@ -19,14 +19,13 @@ Figures 8-10 quickly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.analytical import (
-    expected_download_curve_corrected,
+    corrected_curve_grid,
     expected_zipf,
     expected_zipf_at_most_once,
 )
@@ -141,22 +140,23 @@ def fit_model(
             if best is None or distance < best.distance:
                 best = FitResult(kind=kind, distance=distance, zr=zr, predicted=predicted)
     elif kind == ModelKind.APP_CLUSTERING:
-        for zr, zc, p in itertools.product(zr_grid, zc_grid, p_grid):
-            params = AppClusteringParams(
-                n_apps=n_apps,
-                n_users=n_users,
-                total_downloads=total_downloads,
-                zr=zr,
-                zc=zc,
-                p=p,
-                n_clusters=n_clusters,
-            )
-            predicted = expected_download_curve_corrected(params)
-            predicted = np.sort(predicted)[::-1]
+        population = AppClusteringParams(
+            n_apps=n_apps,
+            n_users=n_users,
+            total_downloads=total_downloads,
+            n_clusters=n_clusters,
+        )
+        for point, curve in corrected_curve_grid(population, zr_grid, zc_grid, p_grid):
+            predicted = np.sort(curve)[::-1]
             distance = mean_relative_error(observed, predicted)
             if best is None or distance < best.distance:
                 best = FitResult(
-                    kind=kind, distance=distance, zr=zr, zc=zc, p=p, predicted=predicted
+                    kind=kind,
+                    distance=distance,
+                    zr=point.zr,
+                    zc=point.zc,
+                    p=point.p,
+                    predicted=predicted,
                 )
     else:
         raise ValueError(f"unknown model kind: {kind!r}")

@@ -160,45 +160,30 @@ def forecast_downloads(
 
 def find_problematic_apps(
     database: SnapshotDatabase,
-    store: str,
-    first_day: Optional[int] = None,
-    last_day: Optional[int] = None,
+    forecast: DownloadForecast,
     shortfall_factor: float = 4.0,
     min_expected_growth: float = 5.0,
-    n_clusters: int = 30,
 ) -> List[ProblematicApp]:
     """Apps whose growth trails the model's expectation for their rank.
 
-    An app is *problematic* when its observed download growth over the
-    window is more than ``shortfall_factor`` times below the growth the
-    fitted model predicts for its popularity rank (and that prediction
-    is at least ``min_expected_growth`` downloads, so noise-level apps
-    are not flagged).  These are the apps the paper suggests the store
-    should surface through recommendations.
+    ``forecast`` is the store's :func:`forecast_downloads`; the window
+    runs from its reference day to its target day.  An app is
+    *problematic* when its observed download growth over the window is
+    more than ``shortfall_factor`` times below the growth the fitted
+    model predicts for its popularity rank (and that prediction is at
+    least ``min_expected_growth`` downloads, so noise-level apps are not
+    flagged).  These are the apps the paper suggests the store should
+    surface through recommendations.
     """
     if shortfall_factor <= 1.0:
         raise ValueError("shortfall_factor must exceed 1")
-    days = database.days(store)
-    if len(days) < 2:
-        raise ValueError(f"store {store!r} needs at least two crawled days")
-    first_day = days[0] if first_day is None else first_day
-    last_day = days[-1] if last_day is None else last_day
-
-    forecast = forecast_downloads(
-        database,
-        store,
-        reference_day=first_day,
-        target_day=last_day,
-        n_clusters=n_clusters,
-    )
-
     start = {
         s.app_id: s.total_downloads
-        for s in database.snapshots_on(store, first_day)
+        for s in database.snapshots_on(forecast.store, forecast.reference_day)
     }
     end = {
         s.app_id: s.total_downloads
-        for s in database.snapshots_on(store, last_day)
+        for s in database.snapshots_on(forecast.store, forecast.target_day)
     }
     # Rank apps by their reference-day downloads to map onto the curve.
     ranked_apps = sorted(start, key=lambda app_id: start[app_id], reverse=True)

@@ -157,6 +157,37 @@ class TestDistinctDrawHitProbabilities:
         with pytest.raises(ValueError):
             distinct_draw_hit_probabilities(np.array([0.5, 0.5]), -1.0)
 
+    def test_budget_past_positive_mass_returns_indicator(self):
+        """Zero-mass items can never be drawn: a budget at or above the
+        positive-mass count draws exactly the positive-mass items."""
+        from repro.core.analytical import distinct_draw_hit_probabilities
+
+        for pmf, budget in (
+            ([0.5, 0.5, 0.0], 2.0),
+            ([0.5, 0.5, 0.0], 2.5),
+            ([1e-20, 1.0, 0.0], 2.0),
+        ):
+            hits = distinct_draw_hit_probabilities(np.array(pmf), budget)
+            assert np.array_equal(hits, [1.0, 1.0, 0.0])
+
+    def test_unreachable_budget_raises(self):
+        """Items of vanishing mass leave the budget out of reach of any
+        intensity the bisection may try."""
+        from repro.core.analytical import distinct_draw_hit_probabilities
+
+        with pytest.raises(ValueError, match="out of reach"):
+            distinct_draw_hit_probabilities(np.array([1.0, 1e-300, 1e-300]), 2.9)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [[0.6, -0.1, 0.5], [0.5, np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]],
+    )
+    def test_rejects_negative_or_nonfinite_pmf(self, pmf):
+        from repro.core.analytical import distinct_draw_hit_probabilities
+
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            distinct_draw_hit_probabilities(np.array(pmf), 1.0)
+
 
 class TestZipfExpectations:
     def test_expected_zipf_total(self):

@@ -64,38 +64,32 @@ class TestForecastDownloads:
 
 
 class TestProblematicApps:
-    def test_flagged_apps_underperform(self, demo_campaign):
-        apps = find_problematic_apps(
-            demo_campaign.database, "demo", n_clusters=12
-        )
+    @pytest.fixture(scope="class")
+    def forecast(self, demo_campaign):
+        return forecast_downloads(demo_campaign.database, "demo", n_clusters=12)
+
+    def test_flagged_apps_underperform(self, demo_campaign, forecast):
+        apps = find_problematic_apps(demo_campaign.database, forecast)
         for app in apps:
             assert app.observed_growth * 4.0 < app.expected_growth
             assert app.shortfall > 0
 
-    def test_sorted_by_shortfall(self, demo_campaign):
-        apps = find_problematic_apps(
-            demo_campaign.database, "demo", n_clusters=12
-        )
+    def test_sorted_by_shortfall(self, demo_campaign, forecast):
+        apps = find_problematic_apps(demo_campaign.database, forecast)
         shortfalls = [app.shortfall for app in apps]
         assert shortfalls == sorted(shortfalls, reverse=True)
 
-    def test_factor_validation(self, demo_campaign):
+    def test_factor_validation(self, demo_campaign, forecast):
         with pytest.raises(ValueError):
             find_problematic_apps(
-                demo_campaign.database, "demo", shortfall_factor=1.0
+                demo_campaign.database, forecast, shortfall_factor=1.0
             )
 
-    def test_loose_threshold_flags_more(self, demo_campaign):
+    def test_loose_threshold_flags_more(self, demo_campaign, forecast):
         strict = find_problematic_apps(
-            demo_campaign.database,
-            "demo",
-            shortfall_factor=20.0,
-            n_clusters=12,
+            demo_campaign.database, forecast, shortfall_factor=20.0
         )
         loose = find_problematic_apps(
-            demo_campaign.database,
-            "demo",
-            shortfall_factor=1.5,
-            n_clusters=12,
+            demo_campaign.database, forecast, shortfall_factor=1.5
         )
         assert len(loose) >= len(strict)
