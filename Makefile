@@ -55,10 +55,12 @@ lint-mypy:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_perf_models.py -q -m bench_smoke -s
 
-# Behaviour oracle for the engine and the model fits: the shape benches
-# that consume the workload models' event streams, and those that run the
+# Behaviour oracle for the engine, the store tick and the model fits:
+# the shape benches that consume the workload models' event streams,
+# those that read the simulated stores' crawls, and those that run the
 # APP-CLUSTERING grid fits (Figures 8-10 and the forecast), must keep
-# their EXPERIMENTS.md claims.
+# their EXPERIMENTS.md claims.  fig03, fig12 and the cache-policy
+# ablation fail on main and stay out until fixed (ROADMAP item 6).
 bench-shapes:
 	$(PYTHON) -m pytest -q \
 		benchmarks/bench_fig19_cache.py \
@@ -70,7 +72,23 @@ bench-shapes:
 		benchmarks/bench_fig08_model_fit.py \
 		benchmarks/bench_fig09_model_distance.py \
 		benchmarks/bench_fig10_user_sweep.py \
-		benchmarks/bench_forecast.py
+		benchmarks/bench_forecast.py \
+		benchmarks/bench_table1_dataset.py \
+		benchmarks/bench_fig02_pareto.py \
+		benchmarks/bench_fig04_updates.py \
+		benchmarks/bench_fig05_comments.py \
+		benchmarks/bench_fig06_affinity_by_group.py \
+		benchmarks/bench_fig07_affinity_cdf.py \
+		benchmarks/bench_fig11_free_vs_paid.py \
+		benchmarks/bench_fig13_income_cdf.py \
+		benchmarks/bench_fig14_quality_vs_quantity.py \
+		benchmarks/bench_fig15_revenue_by_category.py \
+		benchmarks/bench_fig16_developer_strategies.py \
+		benchmarks/bench_fig17_breakeven_time.py \
+		benchmarks/bench_fig18_breakeven_category.py \
+		benchmarks/bench_ablation_affinity_depth.py \
+		benchmarks/bench_proxy_validation.py \
+		benchmarks/bench_revenue_validation.py
 
 # Full reference benchmark (60k apps, 100k users, 1M downloads); appends
 # a record to BENCH_models.json.

@@ -10,9 +10,9 @@ the alias method was chosen for.  This module batches the inner loop:
   ``user_ids`` / ``app_indices`` arrays) that replaces per-event objects
   on the hot path;
 - :class:`DownloadLedger` -- the fetch-at-most-once membership structure,
-  vectorized: a dense ``(n_users, n_apps)`` boolean matrix while it fits
-  :data:`DEFAULT_MEMORY_BUDGET`, otherwise a compact ``(n_users,
-  capacity)`` matrix of each user's downloaded app ids;
+  vectorized: a bit-packed ``(n_users, n_apps)`` ownership matrix or a
+  compact ``(n_users, capacity)`` matrix of each user's downloaded app
+  ids, whichever is smaller (:func:`ledger_mode`);
 - :func:`masked_head_tail_draw` -- the near-rejection-free sampling
   kernel: the top-``K`` head of the distribution is renormalized exactly
   against each user's ownership byte, and tail picks from the alias
@@ -39,7 +39,7 @@ asserts this); only the interleaving of *independent* users differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,11 +49,6 @@ from repro.stats.sampling import AliasSampler, HeadTailSampler
 
 #: Default number of download slots processed per vectorized chunk.
 DEFAULT_BATCH_SIZE = 65_536
-
-#: Largest dense ledger, in cells (one byte each): a ledger whose
-#: ``n_users * n_apps`` fits stores a boolean matrix, a larger one the
-#: compact owned-apps matrix.
-DEFAULT_MEMORY_BUDGET = 1 << 30
 
 #: Draw attempts per download slot before the slot is given up (and
 #: counted under ``engine.events_unfilled``): the rounds of
@@ -117,24 +112,43 @@ class EventBatch:
         )
 
 
+#: ``_BIT[j]`` is the mask of bit ``j`` in a packed ledger byte.
+_BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
+
+
+@pure
+def ledger_mode(n_apps: int, capacity: int) -> str:
+    """The backend a :class:`DownloadLedger` of this shape uses.
+
+    The smaller footprint per user wins: a packed row costs
+    ``ceil(n_apps / 8)`` bytes whatever the user downloads, a compact
+    row ``4 * capacity`` bytes (``int32`` app ids).  Ties go to packed,
+    whose lookups are a single gather.  The user count scales both
+    alike, so it does not enter the choice.
+    """
+    return "packed" if (n_apps + 7) // 8 <= 4 * capacity else "compact"
+
+
 class DownloadLedger:
     """Vectorized fetch-at-most-once bookkeeping for a user population.
 
     ``capacity`` bounds how many apps any one user may download; the
     budgeted streams know it before drawing (:func:`_budget_capacity`),
-    and recording more raises ``ValueError``.  The backend follows from
-    the shape:
+    the store passes ``n_apps``, and recording more raises
+    ``ValueError``.  The backend follows from the shape
+    (:func:`ledger_mode`):
 
-    - ``"dense"`` -- ``(n_users, n_apps)`` boolean matrix, one byte per
-      cell, used while ``n_users * n_apps`` fits
-      :data:`DEFAULT_MEMORY_BUDGET`; fastest lookups.
+    - ``"packed"`` -- a ``(n_users, ceil(n_apps / 8))`` ``uint8`` bit
+      matrix: bit ``a & 7`` of byte ``a >> 3`` in row ``u`` says user
+      ``u`` owns app ``a``.  Lookups and commits are one gather or
+      scatter, and the owners of an app are one column read.
     - ``"compact"`` -- a ``(n_users, capacity)`` ``int32`` matrix of each
       user's downloaded app ids in download order, ``-1`` padded.  At
-      paper scale (60k apps x 100k users) this is a few MB against the
-      dense matrix's 6 GB, so the whole structure stays cache-resident.
-      Ownership of registered top-``K`` head lists (see
-      :meth:`head_bytes`) is kept as one contiguous ``uint8`` row per
-      head.
+      paper scale (60k apps x 100k users, ten downloads each) this is
+      4 MB against the packed matrix's 750 MB, so the whole structure
+      stays cache-resident.  Ownership of registered top-``K`` head
+      lists (see :meth:`head_bytes`) is kept as one contiguous ``uint8``
+      row per head.
 
     Both backends consume no randomness and answer identically, so
     simulation output is bit-for-bit identical across them (tested).
@@ -148,14 +162,12 @@ class DownloadLedger:
         self.n_users = n_users
         self.n_apps = n_apps
         self.capacity = capacity
-        self.mode = (
-            "dense" if n_users * n_apps <= DEFAULT_MEMORY_BUDGET else "compact"
-        )
+        self.mode = ledger_mode(n_apps, capacity)
         #: Number of distinct apps each user has downloaded.
         self.counts = np.zeros(n_users, dtype=np.int64)
         #: Total recorded downloads (drives the late-registration rebuild).
         self._n_events = 0
-        self._dense: Optional[np.ndarray] = None
+        self._bits: Optional[np.ndarray] = None
         self._owned: Optional[np.ndarray] = None
         # Registered head lists (compact mode): per-head uint8 mask rows
         # plus app -> (head row, bit) tables so adds keep masks current.
@@ -164,31 +176,51 @@ class DownloadLedger:
         self._head_masks: Optional[np.ndarray] = None
         self._head_slot_row: Optional[np.ndarray] = None
         self._head_slot_bit: Optional[np.ndarray] = None
-        if self.mode == "dense":
-            self._dense = np.zeros((n_users, n_apps), dtype=bool)
+        if self.mode == "packed":
+            self._bits = np.zeros((n_users, (n_apps + 7) // 8), dtype=np.uint8)
         else:
             self._owned = np.full((n_users, capacity), -1, dtype=np.int32)
 
     def contains(self, users: np.ndarray, apps: np.ndarray) -> np.ndarray:
         """Boolean mask: has ``users[i]`` already downloaded ``apps[i]``?"""
-        if self._dense is not None:
-            return self._dense[users, apps]
+        if self._bits is not None:
+            return (self._bits[users, apps >> 3] & _BIT[apps & 7]) != 0
         assert self._owned is not None
         rows = self._owned[users]
         # asarray is a no-copy view when callers already pass int32 (the
         # fused kernel's tail draws do).
         return (rows == np.asarray(apps, dtype=np.int32)[:, None]).any(axis=1)
 
+    def owners(self, app: int) -> np.ndarray:
+        """Ids of the users who own ``app``, ascending."""
+        if self._bits is not None:
+            return np.flatnonzero(self._bits[:, app >> 3] & _BIT[app & 7])
+        assert self._owned is not None
+        return np.flatnonzero((self._owned == app).any(axis=1))
+
+    def owned(self, user: int) -> np.ndarray:
+        """One user's ownership row: ``out[a]`` says ``user`` owns app ``a``."""
+        if self._bits is not None:
+            return np.unpackbits(
+                self._bits[user], count=self.n_apps, bitorder="little"
+            ).view(bool)
+        assert self._owned is not None
+        row = np.zeros(self.n_apps, dtype=bool)
+        row[self._owned[user, : self.counts[user]]] = True
+        return row
+
     def add(self, users: np.ndarray, apps: np.ndarray) -> None:
         """Record downloads.  Pairs must be new and free of duplicates.
 
         A user may appear several times (the rejection kernel commits a
-        whole refresh window at once).  One stable sort by user ranks
-        each pair within its user's run; pairs of equal rank belong to
-        distinct users, so each rank commits as one :meth:`add_unique`,
-        and every pair lands in the slot a one-at-a-time commit in input
-        order would give it.  Either every pair fits the capacity or
-        none is recorded.
+        whole refresh window at once, the store a user's whole day).
+        The packed backend ORs every bit in with one unbuffered scatter.
+        The compact one ranks each pair within its user's run by one
+        stable sort; pairs of equal rank belong to distinct users, so
+        each rank commits as one :meth:`add_unique`, and every pair
+        lands in the slot a one-at-a-time commit in input order would
+        give it.  Either every pair fits the capacity or none is
+        recorded.
         """
         if users.size == 0:
             return
@@ -197,6 +229,11 @@ class DownloadLedger:
         starts = np.flatnonzero(np.diff(users, prepend=-1))
         lengths = np.diff(starts, append=users.size)
         self._check_capacity(self.counts[users[starts]] + lengths)
+        if self._bits is not None:
+            self._n_events += users.size
+            self.counts[users[starts]] += lengths
+            np.bitwise_or.at(self._bits, (users, apps >> 3), _BIT[apps & 7])
+            return
         rank = np.arange(users.size) - np.repeat(starts, lengths)
         for level in range(int(lengths.max())):
             at = rank == level
@@ -216,8 +253,10 @@ class DownloadLedger:
         self._check_capacity(filled)
         self._n_events += users.size
         self.counts[users] = filled
-        if self._dense is not None:
-            self._dense[users, apps] = True
+        if self._bits is not None:
+            # Distinct users write distinct bytes, so the buffered
+            # fancy-index OR loses no bit.
+            self._bits[users, apps >> 3] |= _BIT[apps & 7]
             return
         assert self._owned is not None
         self._owned[users, slots] = apps
@@ -319,20 +358,28 @@ class DownloadLedger:
                 1, apps[hit]
             ]
 
+    def _packed_head_bytes(
+        self, users: np.ndarray, apps: np.ndarray
+    ) -> np.ndarray:
+        """Packed backend: ``apps`` is ``(k,)`` or ``(len(users), k)``."""
+        assert self._bits is not None
+        owned = (
+            self._bits[users[:, None], apps >> 3] & _BIT[apps & 7]
+        ) != 0
+        return np.packbits(owned, axis=1, bitorder="little")[:, 0]
+
     def head_bytes(self, users: np.ndarray, apps: np.ndarray) -> np.ndarray:
         """Per-user ownership byte for one head list of at most 8 apps.
 
         Bit ``j`` of ``out[i]`` says ``users[i]`` already downloaded
         ``apps[j]`` -- the gather the masked head kernel leans on.  The
         compact backend keeps the byte as a registered mask row (heads
-        register on first use); the dense backend packs it from ``k``
-        column gathers.
+        register on first use); the packed backend gathers the ``k``
+        bits and packs them, so any head list works without
+        registration.
         """
-        if self._dense is not None:
-            out = np.zeros(users.size, dtype=np.uint8)
-            for j, app in enumerate(apps.tolist()):
-                out |= self._dense[users, app].view(np.uint8) << np.uint8(j)
-            return out
+        if self._bits is not None:
+            return self._packed_head_bytes(users, apps)
         row = self._head_rows.get(apps.tobytes())
         if row is None:
             row = self._register_head(apps)
@@ -354,12 +401,8 @@ class DownloadLedger:
         fused clustered kernel: one call covers every cluster in a round
         instead of one :meth:`head_bytes` call per cluster.
         """
-        if self._dense is not None:
-            out = np.zeros(users.size, dtype=np.uint8)
-            for j in range(head_apps.shape[1]):
-                apps_j = head_apps[group_ids, j]
-                out |= self._dense[users, apps_j].view(np.uint8) << np.uint8(j)
-            return out
+        if self._bits is not None:
+            return self._packed_head_bytes(users, head_apps[group_ids])
         n_groups = head_apps.shape[0]
         key = head_apps.tobytes()
         rows = self._grouped_rows.get(key)
@@ -775,6 +818,24 @@ class VisitedClusters:
         )
         np.minimum(picks, counts - 1, out=picks)  # guard the r == 1.0 edge
         return self._lists[users, picks]
+
+    def clusters(self, user: int) -> np.ndarray:
+        """One user's visited clusters, in the order first visited."""
+        return self._lists[user, : self._count[user]]
+
+    def extend(self, user: int, clusters: Sequence[int]) -> None:
+        """Append clusters to one user's list, in order; they must be
+        distinct and not visited yet."""
+        if not clusters:
+            return
+        fill = int(self._count[user])
+        self._lists[user, fill : fill + len(clusters)] = clusters
+        self._count[user] = fill + len(clusters)
+        if self._bitmask is not None:
+            assert self._bit_of is not None
+            self._bitmask[user] |= np.bitwise_or.reduce(
+                self._bit_of[np.asarray(clusters)]
+            )
 
     def record(self, users: np.ndarray, clusters: np.ndarray) -> None:
         """Append clusters not yet in each user's list (users unique)."""

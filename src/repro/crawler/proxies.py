@@ -14,7 +14,7 @@ random healthy proxy matching the store's geographic requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.stats.rng import SeedLike, make_rng
 
@@ -67,6 +67,9 @@ class ProxyPool:
             raise ValueError("proxy ids must be unique")
         self._proxies: Dict[int, Proxy] = {p.proxy_id: p for p in proxies}
         self._rng = make_rng(seed)
+        # Healthy lists per (store, country), in pool order; dropped by
+        # every change of health (:meth:`kill`, :meth:`blacklist`).
+        self._healthy: Dict[Tuple[str, Optional[str]], List[Proxy]] = {}
 
     @classmethod
     def planetlab_like(
@@ -113,13 +116,25 @@ class ProxyPool:
     ) -> List[Proxy]:
         """Proxies usable for a store: alive, not blacklisted, matching
         country."""
-        return [
-            proxy
-            for proxy in self._proxies.values()
-            if proxy.alive
-            and not proxy.is_blacklisted(store_name)
-            and (country is None or proxy.country == country)
-        ]
+        return list(self._healthy_list(store_name, country))
+
+    def _healthy_list(
+        self, store_name: str, country: Optional[str]
+    ) -> List[Proxy]:
+        """The cached healthy list (do not mutate).  Health changes only
+        through :meth:`kill` and :meth:`blacklist`, which drop the cache."""
+        key = (store_name, country)
+        healthy = self._healthy.get(key)
+        if healthy is None:
+            healthy = [
+                proxy
+                for proxy in self._proxies.values()
+                if proxy.alive
+                and not proxy.is_blacklisted(store_name)
+                and (country is None or proxy.country == country)
+            ]
+            self._healthy[key] = healthy
+        return healthy
 
     def pick(
         self,
@@ -134,7 +149,7 @@ class ProxyPool:
         :class:`NoProxyAvailable` when the constraints cannot be met --
         e.g. every Chinese node has been blacklisted or killed.
         """
-        candidates = self.healthy_proxies(store_name, country)
+        candidates = self._healthy_list(store_name, country)
         if exclude:
             candidates = [p for p in candidates if p.proxy_id not in exclude]
         if not candidates:
@@ -150,6 +165,7 @@ class ProxyPool:
             self._proxies[proxy_id].alive = False
         except KeyError:
             raise KeyError(f"unknown proxy id {proxy_id}") from None
+        self._healthy.clear()
 
     def request_through(self, proxy: Proxy) -> None:
         """Account for one request through ``proxy``; may inject a failure.
@@ -168,3 +184,4 @@ class ProxyPool:
             self._proxies[proxy_id].blacklisted_by.add(store_name)
         except KeyError:
             raise KeyError(f"unknown proxy id {proxy_id}") from None
+        self._healthy.clear()

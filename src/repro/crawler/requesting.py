@@ -177,7 +177,7 @@ class RequestEngine:
         open_ids: Set[int] = {
             proxy_id
             for proxy_id, breaker in self._breakers.items()
-            if not breaker.allow(now)
+            if breaker.tripped and not breaker.allow(now)
         }
         try:
             return self._proxies.pick(store, country, exclude=open_ids)

@@ -54,13 +54,16 @@ BATCHED_MODULE_SUFFIXES = (
 RNG_HELPER_MODULE_SUFFIXES = ("repro/stats/rng.py",)
 
 #: Where RPL020 holds code to array operations: the batched engine, the
-#: columnar store (data moves as columns, not rows), and the modules
-#: that resolve persona segments (one kernel call per segment block,
-#: grouped by :func:`repro.core.engine.partition_by_blocks`).
+#: columnar store (data moves as columns, not rows), the modules that
+#: resolve persona segments (one kernel call per segment block, grouped
+#: by :func:`repro.core.engine.partition_by_blocks`), and the store tick
+#: (one kernel call per round and law, one sort per law for a heavy
+#: account's day, never a kernel call per download).
 VECTORIZED_MODULE_SCOPES = BATCHED_MODULE_SUFFIXES + (
     "repro/store/",
     "repro/marketplace/segments.py",
     "repro/marketplace/behavior.py",
+    "repro/marketplace/store.py",
     "repro/workload/sharding.py",
 )
 

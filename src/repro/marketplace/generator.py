@@ -223,19 +223,29 @@ def build_store(
         developer_of_app[slot] = developer.developer_id
     blockbuster_set = set(blockbuster_slots)
     # Developers pick apps inside their focus categories where possible.
-    unassigned = [i for i in range(total_apps) if i not in blockbuster_set]
-    rng.shuffle(unassigned)
+    # Each category's pool lists its apps least appealing first, so a
+    # pop takes the most appealing app left.
     apps_by_category: Dict[int, List[int]] = {}
-    for app_index in unassigned:
-        apps_by_category.setdefault(int(category_of_app[app_index]), []).append(
-            app_index
-        )
+    for app_index in range(total_apps - 1, -1, -1):
+        if app_index not in blockbuster_set:
+            apps_by_category.setdefault(
+                int(category_of_app[app_index]), []
+            ).append(app_index)
     general = developers[: len(developers) - len(blockbuster_slots)]
     general_sizes = portfolio_sizes[: len(general)]
-    for developer, size in zip(general, general_sizes):
-        focus = _assign_developer_categories(taxonomy.n_categories, size, rng)
+    focus_of = [
+        _assign_developer_categories(taxonomy.n_categories, size, rng)
+        for size in general_sizes
+    ]
+    # Smallest portfolios pick first: a focused account takes the best
+    # apps of its categories, and prolific publishers fill theirs with
+    # what is left, so income does not grow with portfolio size (Figure
+    # 14, r=0.008).
+    by_size = sorted(range(len(general)), key=general_sizes.__getitem__)
+    for index in by_size:
+        developer, size = general[index], general_sizes[index]
         assigned = 0
-        for category_index in focus:
+        for category_index in focus_of[index]:
             pool = apps_by_category.get(int(category_index), [])
             while pool and assigned < size:
                 app_index = pool.pop()

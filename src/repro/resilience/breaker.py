@@ -64,6 +64,13 @@ class CircuitBreaker:
         """Clock time at which an OPEN breaker starts admitting probes."""
         return self._opened_at + self.reset_timeout
 
+    @property
+    def tripped(self) -> bool:
+        """Whether the breaker has tripped and not closed since: OPEN or
+        HALF_OPEN, depending on the clock.  A breaker that is not tripped
+        admits every call."""
+        return self._is_open
+
     def state(self, now: float) -> BreakerState:
         """The breaker's state as of simulated time ``now``."""
         if not self._is_open:

@@ -71,37 +71,75 @@ class TestEventBatch:
         assert len(EventBatch.concatenate([])) == 0
 
 
+def _force_mode(patch, backend):
+    """Make every ledger built under ``patch`` use ``backend``."""
+    patch.setattr(engine, "ledger_mode", lambda n_apps, capacity: backend)
+
+
 def _ledger(monkeypatch, backend, n_users, n_apps, capacity):
-    """A ledger on the named backend; compact is forced by shrinking the
-    dense limit while the ledger is constructed."""
-    if backend == "dense":
+    """A ledger on the named backend, whatever its shape would pick."""
+    with monkeypatch.context() as patch:
+        _force_mode(patch, backend)
         ledger = DownloadLedger(n_users, n_apps, capacity)
-    else:
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "DEFAULT_MEMORY_BUDGET", 0)
-            ledger = DownloadLedger(n_users, n_apps, capacity)
     assert ledger.mode == backend
     return ledger
 
 
-BACKENDS = ("dense", "compact")
+BACKENDS = ("packed", "compact")
 
 
 class TestDownloadLedger:
     def test_mode_auto_selection(self):
-        # The census shapes: the cache bench's population is dense, the
-        # 60k-app x 100k-user reference store is compact.
-        assert DownloadLedger(12_000, 1_200, 84).mode == "dense"
+        # The census shapes: the cache bench's population and the store
+        # tick (capacity n_apps) are packed, the 60k-app x 100k-user
+        # reference population is compact.
+        assert DownloadLedger(12_000, 1_200, 84).mode == "packed"
+        assert DownloadLedger(70_000, 2_340, 2_340).mode == "packed"
         assert DownloadLedger(100_000, 60_000, 10).mode == "compact"
 
-    def test_backend_bytes_boundaries(self, monkeypatch):
-        """Dense exactly while its footprint, ``n_users * n_apps`` bytes,
-        fits the budget; one cell more lands on compact."""
-        monkeypatch.setattr(engine, "DEFAULT_MEMORY_BUDGET", 100 * 81)
-        assert DownloadLedger(100, 81, 5).mode == "dense"
-        assert DownloadLedger(81, 100, 5).mode == "dense"
-        assert DownloadLedger(100, 82, 5).mode == "compact"
-        assert DownloadLedger(101, 81, 5).mode == "compact"
+    def test_backend_bytes_boundaries(self):
+        """Packed exactly while its row, ``ceil(n_apps / 8)`` bytes, is no
+        larger than a compact row of ``4 * capacity`` bytes; one byte
+        more lands on compact, whatever the user count."""
+        assert DownloadLedger(100, 160, 5).mode == "packed"
+        assert DownloadLedger(100, 153, 5).mode == "packed"
+        assert DownloadLedger(100, 161, 5).mode == "compact"
+        assert DownloadLedger(1, 161, 5).mode == "compact"
+        assert DownloadLedger(100, 161, 6).mode == "packed"
+        # The chosen backend's rows: 20 packed bytes, then 20 compact
+        # bytes where packed rows would take 21.
+        assert DownloadLedger(100, 160, 5)._bits.shape == (100, 20)
+        assert DownloadLedger(100, 161, 5)._owned.shape == (100, 5)
+        assert DownloadLedger(3, 161, 6)._bits.shape == (3, 21)
+
+    def test_store_shape_footprint(self):
+        """The store tick's ledger (every user may own every app): 70,000
+        users x 2,340 apps packs into 20.5 MB, where a compact matrix
+        wide enough for the catalog would take 655 MB."""
+        ledger = DownloadLedger(70_000, 2_340, 2_340)
+        assert ledger.mode == "packed"
+        assert ledger._bits.nbytes == 70_000 * 293
+
+    @pytest.mark.parametrize("mode", BACKENDS)
+    def test_owners_ascending(self, monkeypatch, mode):
+        ledger = _ledger(monkeypatch, mode, 40, 30, 30)
+        rng = np.random.default_rng(5)
+        owned = [set() for _ in range(40)]
+        for _ in range(6):
+            users = rng.permutation(40)[:25]
+            apps = rng.integers(0, 30, size=users.size)
+            fresh = np.array(
+                [a not in owned[u] for u, a in zip(users, apps)], dtype=bool
+            )
+            for u, a in zip(users[fresh], apps[fresh]):
+                owned[u].add(int(a))
+            ledger.add_unique(users[fresh], apps[fresh])
+        for app in range(30):
+            owners = ledger.owners(app)
+            assert owners.tolist() == [
+                u for u in range(40) if app in owned[u]
+            ]
+        assert ledger.owners(29).dtype.kind == "i"
 
     def test_capacity_required(self):
         with pytest.raises(TypeError):
@@ -205,7 +243,15 @@ class TestDownloadLedger:
                 assert np.array_equal(
                     ledger.contains(probe_users, probe_apps), expected
                 )
+                for app in range(n_apps):
+                    assert ledger.owners(app).tolist() == [
+                        u for u in range(n_users) if app in owned[u]
+                    ]
                 assert ledger.counts.tolist() == [len(o) for o in owned]
+                for user in range(n_users):
+                    assert np.flatnonzero(ledger.owned(user)).tolist() == sorted(
+                        owned[user]
+                    )
                 assert np.array_equal(
                     ledger.saturated(everyone),
                     np.array([len(o) >= n_apps for o in owned]),
@@ -333,6 +379,21 @@ class TestVisitedClusters:
     def test_width_clamped_by_budget(self):
         visited = VisitedClusters(n_users=2, n_clusters=100, max_per_user=3)
         assert visited._lists.shape == (2, 3)
+
+    @pytest.mark.parametrize("n_clusters", [6, 100])
+    def test_extend_appends_in_order(self, n_clusters):
+        """``extend`` is ``record`` one cluster at a time, for one user;
+        ``clusters`` reads the list back in visit order."""
+        visited = VisitedClusters(n_users=2, n_clusters=n_clusters, max_per_user=6)
+        visited.record(np.array([1]), np.array([4]))
+        visited.extend(1, [2, 0])
+        visited.extend(1, [])
+        assert visited.clusters(1).tolist() == [4, 2, 0]
+        assert visited.clusters(0).tolist() == []
+        assert visited.counts.tolist() == [0, 3]
+        visited.record(np.array([0, 1]), np.array([2, 2]))  # a repeat for 1
+        assert visited.clusters(1).tolist() == [4, 2, 0]
+        assert visited.clusters(0).tolist() == [2]
 
 
 def _tv_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -496,8 +557,8 @@ class TestBatchedInvariants:
         "model_name", ["amo", "clustering", "clustering-unequal", "feedback"]
     )
     def test_ledger_modes_bit_identical(self, monkeypatch, model_name):
-        """The backends consume no randomness: dense and compact streams
-        match exactly.  Compact is forced by shrinking the dense limit."""
+        """The backends consume no randomness: packed and compact streams
+        match exactly, each forced whatever the shape would pick."""
 
         def stream():
             if model_name == "amo":
@@ -529,11 +590,12 @@ class TestBatchedInvariants:
                 batches = model.iter_batches(seed=9)
             return EventBatch.concatenate(list(batches))
 
-        dense = stream()
-        monkeypatch.setattr(engine, "DEFAULT_MEMORY_BUDGET", 0)
+        _force_mode(monkeypatch, "packed")
+        packed = stream()
+        _force_mode(monkeypatch, "compact")
         compact = stream()
-        assert np.array_equal(dense.user_ids, compact.user_ids)
-        assert np.array_equal(dense.app_indices, compact.app_indices)
+        assert np.array_equal(packed.user_ids, compact.user_ids)
+        assert np.array_equal(packed.app_indices, compact.app_indices)
 
     def test_iter_events_adapter_matches_batches(self):
         """``iter_events`` is a thin flattening of ``iter_batches``."""

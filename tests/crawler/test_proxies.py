@@ -8,6 +8,8 @@ from repro.crawler.proxies import (
     ProxyError,
     ProxyPool,
 )
+from repro.resilience.breaker import CircuitBreaker
+from repro.stats.rng import make_rng
 
 
 class TestProxy:
@@ -85,3 +87,88 @@ class TestProxyPool:
             pool.request_through(proxy)
         assert proxy.failures == 0
         assert proxy.requests_served == 100
+
+
+class UncachedPool(ProxyPool):
+    """The pool before healthy lists were cached: every pick filters
+    every proxy."""
+
+    def pick(self, store_name, country=None, exclude=None):
+        candidates = [
+            proxy
+            for proxy in self._proxies.values()
+            if proxy.alive
+            and not proxy.is_blacklisted(store_name)
+            and (country is None or proxy.country == country)
+        ]
+        if exclude:
+            candidates = [p for p in candidates if p.proxy_id not in exclude]
+        if not candidates:
+            raise NoProxyAvailable(store_name)
+        return candidates[int(self._rng.integers(0, len(candidates)))]
+
+
+class TestCachedPicks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_uncached_filter(self, seed):
+        """Random kills, blacklists and breaker trips: the cached pool
+        and its breakers' ``tripped`` shortcut pick exactly the proxies
+        the per-pick filter over ``allow`` picks."""
+        script = make_rng(seed)
+
+        def fleet():
+            return [
+                Proxy(i, "cn" if i < 12 else ("us", "de")[i % 2])
+                for i in range(30)
+            ]
+
+        cached = ProxyPool(fleet(), seed=seed)
+        reference = UncachedPool(fleet(), seed=seed)
+        breakers = {
+            i: CircuitBreaker(failure_threshold=2, reset_timeout=5.0)
+            for i in range(30)
+        }
+        now = 0.0
+        picked = 0
+        for _ in range(600):
+            now += float(script.exponential(0.5))
+            action = script.random()
+            proxy_id = int(script.integers(30))
+            if action < 0.01:
+                cached.kill(proxy_id)
+                reference.kill(proxy_id)
+            elif action < 0.03:
+                store = ("anzhi", "slideme")[int(script.integers(2))]
+                cached.blacklist(proxy_id, store)
+                reference.blacklist(proxy_id, store)
+            elif action < 0.25:
+                breakers[proxy_id].record_failure(now)
+            elif action < 0.45:
+                breakers[proxy_id].record_success(now)
+            fast = {
+                i for i, b in breakers.items() if b.tripped and not b.allow(now)
+            }
+            slow = {i for i, b in breakers.items() if not b.allow(now)}
+            assert fast == slow
+            store = ("anzhi", "slideme")[int(script.integers(2))]
+            country = (None, "cn", "us")[int(script.integers(3))]
+            outcomes = []
+            for pool in (cached, reference):
+                try:
+                    proxy = pool.pick(store, country, exclude=fast)
+                    outcomes.append(proxy.proxy_id)
+                except NoProxyAvailable:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1]
+            picked += outcomes[0] is not None
+            healthy = cached.healthy_proxies(store, country)
+            assert [p.proxy_id for p in healthy] == [
+                p.proxy_id
+                for p in reference.proxies()
+                if p.alive
+                and not p.is_blacklisted(store)
+                and (country is None or p.country == country)
+            ]
+        assert picked > 300
+        assert any(not p.alive for p in cached.proxies())
+        assert any(b.tripped for b in breakers.values())

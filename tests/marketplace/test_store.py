@@ -136,3 +136,48 @@ class TestValidation:
                 rng=np.random.default_rng(0),
                 daily_download_rate=1.0,
             )
+
+
+class TestHeavyAccounts:
+    def test_busy_account_adds_no_rounds(self, monkeypatch):
+        """One account with nine tenths of the activity: a day still runs
+        at most ``MAX_ROUNDS`` rounds, and the account, drawn in one
+        sequence, takes each app once until it owns the catalog."""
+        from repro.marketplace.behavior import BehaviorParams, DownloadBehavior
+        from repro.marketplace.catalog import default_taxonomy
+        from repro.marketplace.entities import App, User
+        from repro.marketplace.store import MAX_ROUNDS, AppStore
+
+        n_apps, n_users, busy = 200, 60, 7
+        taxonomy = default_taxonomy(5, seed=0)
+        apps = [
+            App(
+                app_id=i,
+                name=f"app-{i}",
+                category=taxonomy.names[i % 5],
+                developer_id=0,
+                global_rank=i + 1,
+                cluster_rank=1,
+            )
+            for i in range(n_apps)
+        ]
+        activity = np.ones(n_users)
+        activity[busy] = 9.0 * (n_users - 1)
+        users = [User(u, float(activity[u]), 0.0) for u in range(n_users)]
+        behavior = DownloadBehavior(np.arange(n_apps) % 5, BehaviorParams())
+        store = AppStore(
+            "busy", taxonomy, apps, users, behavior, np.random.default_rng(4),
+            150.0, keep_download_log=True,
+        )
+        rounds = []
+        draw_round = AppStore._draw_round
+
+        def counted(self, round_users, day):
+            rounds.append(day)
+            return draw_round(self, round_users, day)
+
+        monkeypatch.setattr(AppStore, "_draw_round", counted)
+        store.advance_days(3)
+        assert max(rounds.count(day) for day in range(3)) <= MAX_ROUNDS
+        owned = [r.app_id for r in store.download_log() if r.user_id == busy]
+        assert len(owned) == len(set(owned)) == n_apps
