@@ -96,14 +96,17 @@ bench:
 	$(PYTHON) benchmarks/bench_perf_models.py
 
 # Always-on service smoke: a bounded `repro serve` run must reproduce
-# the batch campaign's dataset fingerprint byte for byte, and both the
-# data-plane and traffic-plane metrics sidecars must validate.
+# the batch campaign's dataset fingerprint byte for byte, with and
+# without a fault plan, and both the data-plane and traffic-plane
+# metrics sidecars must validate.
 serve-smoke:
 	$(PYTHON) -m repro serve --days 3 --clients 4 --seed 0 --verify-batch \
 		--emit-metrics serve_data.metrics.jsonl \
 		--emit-traffic serve_traffic.metrics.jsonl
 	$(PYTHON) -m repro metrics serve_data.metrics.jsonl --check
 	$(PYTHON) -m repro metrics serve_traffic.metrics.jsonl --check
+	$(PYTHON) -m repro serve --days 3 --clients 4 --seed 0 --faults aggressive \
+		--verify-batch
 
 # Columnar store smoke: chunk-indexed day queries beat the flat-dict
 # scan, and a cold subprocess reproduces the packed dataset's answers.

@@ -26,15 +26,15 @@ Three estimators live here:
   approximate; tests bound its *rank* error rather than demanding
   equality.
 
-:class:`StreamingAnalytics` bundles the three behind a per-snapshot
-``observe`` hook plus a per-tick ``export`` into a
-:class:`~repro.obs.metrics.MetricsRegistry`, which is how the service
-publishes them next to its latency histograms.
+:class:`StreamingAnalytics` bundles the three behind a per-day
+``observe_day`` fold (``observe_snapshot`` is the one-row case) plus a
+per-tick ``export`` into a :class:`~repro.obs.metrics.MetricsRegistry`,
+which is how the service publishes them next to its latency histograms.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,11 +73,24 @@ class DownloadState:
 
     def observe(self, app_id: int, day: int, total_downloads: int) -> None:
         """Fold in one snapshot's download total."""
-        current = self._by_app.get(app_id)
-        if current is not None and current[0] > day:
-            return
-        self._by_app[app_id] = (day, int(total_downloads))
-        self._version += 1
+        self.observe_day(day, (app_id,), (total_downloads,))
+
+    def observe_day(
+        self, day: int, app_ids: Sequence[int], totals: Sequence[int]
+    ) -> None:
+        """Fold in one day's snapshots: app ``app_ids[i]`` had ``totals[i]``.
+
+        Rows apply in order; a row older than the app's stored day is
+        ignored, and every other row replaces it and bumps the version.
+        """
+        by_app = self._by_app
+        accepted = 0
+        for app_id, total in zip(app_ids, totals):
+            current = by_app.get(app_id)
+            if current is None or current[0] <= day:
+                by_app[app_id] = (day, int(total))
+                accepted += 1
+        self._version += accepted
 
     @property
     def version(self) -> int:
@@ -203,73 +216,113 @@ class P2Quantile:
 
     def observe(self, value: float) -> None:
         """Fold one observation into the sketch."""
-        value = float(value)
-        self.count += 1
-        if self.count <= 5:
-            self._initial.append(value)
-            if self.count == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-                self._positions = [1, 2, 3, 4, 5]
-                self._desired = [
-                    1.0 + 4.0 * increment for increment in self._increments
-                ]
-            return
+        self.observe_many((value,))
 
-        heights = self._heights
-        positions = self._positions
-        # Locate the cell containing the new value, extending extremes.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and value >= heights[cell + 1]:
-                cell += 1
-        for marker in range(cell + 1, 5):
-            positions[marker] += 1
-        for marker in range(5):
-            self._desired[marker] += self._increments[marker]
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Fold observations in order, as one :meth:`observe` per value.
 
-        # Nudge interior markers toward their desired positions.
-        for marker in (1, 2, 3):
-            drift = self._desired[marker] - positions[marker]
-            step_up = positions[marker + 1] - positions[marker]
-            step_down = positions[marker - 1] - positions[marker]
-            if (drift >= 1.0 and step_up > 1) or (drift <= -1.0 and step_down < -1):
-                direction = 1 if drift >= 1.0 else -1
-                candidate = self._parabolic(marker, direction)
-                if heights[marker - 1] < candidate < heights[marker + 1]:
-                    heights[marker] = candidate
+        Each value runs the same float operations in the same order, so
+        the markers stay bit-identical however a stream is split into
+        calls.  The loop keeps the five markers in locals, with the cell
+        search and the three interior-marker nudges written out.
+        """
+        stream = map(float, values)
+        if self.count < 5:
+            for value in stream:
+                self.count += 1
+                self._initial.append(value)
+                if self.count == 5:
+                    self._initial.sort()
+                    self._heights = list(self._initial)
+                    self._positions = [1, 2, 3, 4, 5]
+                    self._desired = [
+                        1.0 + 4.0 * increment for increment in self._increments
+                    ]
+                    break
+            else:
+                return
+
+        h0, h1, h2, h3, h4 = self._heights
+        n0, n1, n2, n3, n4 = self._positions
+        d0, d1, d2, d3, d4 = self._desired
+        i0, i1, i2, i3, i4 = self._increments
+        first = n4
+        for value in stream:
+            # Locate the cell containing the new value, extending
+            # extremes; every marker above the cell moves up one.
+            if value < h0:
+                h0 = value
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif value >= h4:
+                h4 = value
+            elif value < h1:
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif value < h2:
+                n2 += 1
+                n3 += 1
+            elif value < h3:
+                n3 += 1
+            n4 += 1
+            d0 += i0
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            d4 += i4
+
+            # Nudge interior markers toward their desired positions:
+            # parabolic interpolation, or linear when that would leave
+            # the neighbours' bracket.
+            drift = d1 - n1
+            if (drift >= 1.0 and n2 - n1 > 1) or (drift <= -1.0 and n0 - n1 < -1):
+                step = 1 if drift >= 1.0 else -1
+                candidate = h1 + (step / (n2 - n0)) * (
+                    (n1 - n0 + step) * (h2 - h1) / (n2 - n1)
+                    + (n2 - n1 - step) * (h1 - h0) / (n1 - n0)
+                )
+                if h0 < candidate < h2:
+                    h1 = candidate
+                elif step == 1:
+                    h1 = h1 + step * (h2 - h1) / (n2 - n1)
                 else:
-                    heights[marker] = self._linear(marker, direction)
-                positions[marker] += direction
-
-    def _parabolic(self, marker: int, direction: int) -> float:
-        heights = self._heights
-        positions = self._positions
-        here = positions[marker]
-        below = positions[marker - 1]
-        above = positions[marker + 1]
-        return heights[marker] + (direction / (above - below)) * (
-            (here - below + direction)
-            * (heights[marker + 1] - heights[marker])
-            / (above - here)
-            + (above - here - direction)
-            * (heights[marker] - heights[marker - 1])
-            / (here - below)
-        )
-
-    def _linear(self, marker: int, direction: int) -> float:
-        heights = self._heights
-        positions = self._positions
-        neighbor = marker + direction
-        return heights[marker] + direction * (
-            heights[neighbor] - heights[marker]
-        ) / (positions[neighbor] - positions[marker])
+                    h1 = h1 + step * (h0 - h1) / (n0 - n1)
+                n1 += step
+            drift = d2 - n2
+            if (drift >= 1.0 and n3 - n2 > 1) or (drift <= -1.0 and n1 - n2 < -1):
+                step = 1 if drift >= 1.0 else -1
+                candidate = h2 + (step / (n3 - n1)) * (
+                    (n2 - n1 + step) * (h3 - h2) / (n3 - n2)
+                    + (n3 - n2 - step) * (h2 - h1) / (n2 - n1)
+                )
+                if h1 < candidate < h3:
+                    h2 = candidate
+                elif step == 1:
+                    h2 = h2 + step * (h3 - h2) / (n3 - n2)
+                else:
+                    h2 = h2 + step * (h1 - h2) / (n1 - n2)
+                n2 += step
+            drift = d3 - n3
+            if (drift >= 1.0 and n4 - n3 > 1) or (drift <= -1.0 and n2 - n3 < -1):
+                step = 1 if drift >= 1.0 else -1
+                candidate = h3 + (step / (n4 - n2)) * (
+                    (n3 - n2 + step) * (h4 - h3) / (n4 - n3)
+                    + (n4 - n3 - step) * (h3 - h2) / (n3 - n2)
+                )
+                if h2 < candidate < h4:
+                    h3 = candidate
+                elif step == 1:
+                    h3 = h3 + step * (h4 - h3) / (n4 - n3)
+                else:
+                    h3 = h3 + step * (h2 - h3) / (n2 - n3)
+                n3 += step
+        # The top marker moves up once per value: it counts them.
+        self.count += n4 - first
+        self._heights = [h0, h1, h2, h3, h4]
+        self._positions = [n0, n1, n2, n3, n4]
+        self._desired = [d0, d1, d2, d3, d4]
 
     @property
     def value(self) -> Optional[float]:
@@ -351,8 +404,8 @@ class SegmentDownloadShares:
 class StreamingAnalytics:
     """Per-snapshot analytics sink for one store's live crawl stream.
 
-    ``observe_snapshot`` is called by the service as each app snapshot
-    commits; ``export`` publishes the current estimates as gauges on a
+    ``observe_day`` is called by the service with each committed day's
+    snapshots; ``export`` publishes the current estimates as gauges on a
     metrics registry once per daily tick.  All exported values are a
     pure function of the committed snapshot *set* -- never of arrival
     order or client count -- so they belong in the service's
@@ -371,10 +424,17 @@ class StreamingAnalytics:
 
     def observe_snapshot(self, app_id: int, day: int, total_downloads: int) -> None:
         """Fold one committed snapshot into every estimator."""
-        self.snapshots_seen += 1
-        self.state.observe(app_id, day, total_downloads)
+        self.observe_day(day, (app_id,), (total_downloads,))
+
+    def observe_day(
+        self, day: int, app_ids: Sequence[int], totals: Sequence[int]
+    ) -> None:
+        """Fold one committed day, in commit order, into every estimator:
+        the same result as one :meth:`observe_snapshot` per row."""
+        self.snapshots_seen += len(app_ids)
+        self.state.observe_day(day, app_ids, totals)
         for sketch in self.quantiles.values():
-            sketch.observe(float(total_downloads))
+            sketch.observe_many(totals)
 
     def export(self, metrics: MetricsRegistry) -> None:
         """Publish current estimates as ``streaming.*`` gauges."""

@@ -106,6 +106,9 @@ class RequestEngine:
         self.retry_policy = retry_policy
         self._breaker_factory = breaker_factory
         self._breakers: Dict[int, CircuitBreaker] = {}
+        # Ids of the breakers that have tripped and not closed since,
+        # kept in step after every record, so a pick reads only these.
+        self._tripped: Set[int] = set()
         self._faults = fault_injector
         self._retry_rng = retry_rng
         self.stats = stats
@@ -127,6 +130,22 @@ class RequestEngine:
             breaker = self._breaker_factory()
             self._breakers[proxy_id] = breaker
         return breaker
+
+    def _record_failure(
+        self, proxy_id: int, breaker: CircuitBreaker, now: float
+    ) -> None:
+        """A failure can trip a breaker, never close it."""
+        breaker.record_failure(now)
+        if breaker.tripped:
+            self._tripped.add(proxy_id)
+
+    def _record_success(
+        self, proxy_id: int, breaker: CircuitBreaker, now: float
+    ) -> None:
+        """A success can close a breaker, never trip it."""
+        breaker.record_success(now)
+        if not breaker.tripped:
+            self._tripped.discard(proxy_id)
 
     def _scheduled_fault_steps(
         self, now: float
@@ -174,10 +193,11 @@ class RequestEngine:
         :class:`ProxiesExhausted` when no healthy proxy exists at all.
         """
         store = self._api.store_name
+        breakers = self._breakers
         open_ids: Set[int] = {
             proxy_id
-            for proxy_id, breaker in self._breakers.items()
-            if breaker.tripped and not breaker.allow(now)
+            for proxy_id in self._tripped
+            if not breakers[proxy_id].allow(now)
         }
         try:
             return self._proxies.pick(store, country, exclude=open_ids)
@@ -239,7 +259,7 @@ class RequestEngine:
             except ProxyError as error:
                 stats.proxy_failures += 1
                 metrics.counter("crawler.proxy_failures").add(1)
-                breaker.record_failure(now)
+                self._record_failure(proxy.proxy_id, breaker, now)
                 last_error = error
                 continue
             client = f"proxy-{proxy.proxy_id}"
@@ -256,19 +276,19 @@ class RequestEngine:
             except GeoBlockedError as error:
                 # The store blocked this proxy; drop it and retry elsewhere.
                 self._proxies.blacklist(proxy.proxy_id, self._api.store_name)
-                breaker.record_failure(now)
+                self._record_failure(proxy.proxy_id, breaker, now)
                 last_error = error
                 continue
             except TransientFault as error:
                 stats.transient_faults += 1
                 metrics.counter("crawler.transient_faults").add(1)
-                breaker.record_failure(now)
+                self._record_failure(proxy.proxy_id, breaker, now)
                 last_error = error
                 continue
             if endpoint == self._api.app_page and page_is_corrupt(result):
                 stats.corrupt_pages += 1
                 metrics.counter("crawler.corrupt_pages").add(1)
-                breaker.record_success(now)
+                self._record_success(proxy.proxy_id, breaker, now)
                 last_error = SnapshotCorrupted(
                     f"corrupt page for app {args[0]} via {client}"
                 )
@@ -279,7 +299,7 @@ class RequestEngine:
                 # The whole point of the retry budget: failures that the
                 # policy absorbed end-to-end, visible per run.
                 metrics.counter("crawler.requests_recovered").add(1)
-            breaker.record_success(now)
+            self._record_success(proxy.proxy_id, breaker, now)
             return result
         raise CrawlError(
             f"request failed after {policy.max_attempts} attempts: {last_error}"

@@ -187,7 +187,9 @@ class MetricsRegistry:
         found = self._histograms.get(name)
         if found is None:
             found = self._histograms[name] = Histogram(name, edges)
-        elif tuple(float(edge) for edge in edges) != found.edges:
+        elif tuple(edges) != found.edges and (
+            tuple(float(edge) for edge in edges) != found.edges
+        ):
             raise ValueError(
                 f"histogram {name!r} already exists with edges {found.edges}"
             )

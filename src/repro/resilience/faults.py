@@ -18,8 +18,10 @@ against run.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import get_registry
 from repro.resilience.errors import TransientFault
@@ -78,6 +80,11 @@ _SKEW_RANGE = (1.0, 20.0)
 _MAX_WORKER_CRASHES = 3
 
 
+def _plan_order(event: FaultEvent) -> Tuple[float, str, float]:
+    """The plan's sort key: due time, ties broken by kind, then size."""
+    return (event.at, event.kind.value, event.magnitude)
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A named, seeded, replayable schedule of faults.
@@ -95,9 +102,7 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        ordered = tuple(
-            sorted(self.events, key=lambda e: (e.at, e.kind.value, e.magnitude))
-        )
+        ordered = tuple(sorted(self.events, key=_plan_order))
         object.__setattr__(self, "events", ordered)
 
     @classmethod
@@ -182,39 +187,50 @@ class FaultInjector:
     appended to :attr:`trace` in consumption order.  The injector also
     owns a derived RNG for choices the plan leaves open (e.g. *which*
     proxy dies), so those choices replay from the plan seed too.
+
+    Pending events wait in one due-ordered queue per kind, so a poll
+    looks at the head of one queue: its cost does not grow with the
+    length of the plan.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._pending: List[FaultEvent] = list(plan.events)
+        self._queues: Dict[FaultKind, Deque[FaultEvent]] = {
+            kind: deque() for kind in FaultKind
+        }
+        for event in plan.events:
+            self._queues[event.kind].append(event)
         self.rng = make_rng(derive_seed(plan.seed, "fault-injector", plan.name))
         self.trace: List[FiredFault] = []
 
     @property
     def pending(self) -> Tuple[FaultEvent, ...]:
         """Events not yet consumed, in due order."""
-        return tuple(self._pending)
+        return tuple(sorted(chain(*self._queues.values()), key=_plan_order))
+
+    def _pop_due(self, now: float, kind: FaultKind) -> Optional[FaultEvent]:
+        """Remove and return the earliest due event of ``kind``, if any."""
+        queue = self._queues[kind]
+        if queue and queue[0].at <= now:
+            return queue.popleft()
+        return None
 
     def take(
         self, now: float, kind: FaultKind, detail: str = ""
     ) -> Optional[FaultEvent]:
         """Consume at most one due event of ``kind``; records it if taken."""
-        for index, event in enumerate(self._pending):
-            if event.at > now:
-                break
-            if event.kind is kind:
-                del self._pending[index]
-                self.record(event, now, detail)
-                return event
-        return None
+        event = self._pop_due(now, kind)
+        if event is not None:
+            self.record(event, now, detail)
+        return event
 
     def take_all(self, now: float, kind: FaultKind) -> List[FaultEvent]:
         """Consume every due event of ``kind`` (recording is the caller's
         job, since the detail depends on how the fault is applied)."""
-        due = [e for e in self._pending if e.at <= now and e.kind is kind]
-        if due:
-            taken = set(map(id, due))
-            self._pending = [e for e in self._pending if id(e) not in taken]
+        queue = self._queues[kind]
+        due: List[FaultEvent] = []
+        while queue and queue[0].at <= now:
+            due.append(queue.popleft())
         return due
 
     def record(self, event: FaultEvent, now: float, detail: str) -> None:
@@ -226,15 +242,12 @@ class FaultInjector:
 
     def maybe_raise_transient(self, now: float, where: str) -> None:
         """Raise :class:`TransientFault` when a transient error is due."""
-        for index, event in enumerate(self._pending):
-            if event.at > now:
-                break
-            if event.kind is FaultKind.TRANSIENT_ERROR:
-                del self._pending[index]
-                self.record(event, now, f"transient error at {where}")
-                raise TransientFault(
-                    f"injected transient error at {where} (due t={event.at:.3f})"
-                )
+        event = self._pop_due(now, FaultKind.TRANSIENT_ERROR)
+        if event is not None:
+            self.record(event, now, f"transient error at {where}")
+            raise TransientFault(
+                f"injected transient error at {where} (due t={event.at:.3f})"
+            )
 
     def fired_counts(self) -> Dict[FaultKind, int]:
         """Injected events per kind (zero-count kinds included)."""

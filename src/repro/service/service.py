@@ -8,8 +8,7 @@ workers -- each with its own pacer, retry jitter, and circuit breakers,
 all sharing the proxy fleet and fault schedule -- hammer the
 :class:`~repro.crawler.webapi.StoreWebApi` and land snapshots in the
 columnar :class:`~repro.crawler.database.SnapshotDatabase`.  Streaming
-analytics (:mod:`repro.analysis.streaming`) update as each snapshot
-commits.
+analytics (:mod:`repro.analysis.streaming`) update as each day commits.
 
 **The determinism contract.**  For the same seed and fault plan, a
 bounded run exports a dataset fingerprint byte-identical to the batch
@@ -44,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.streaming import SegmentDownloadShares, StreamingAnalytics
 from repro.crawler.crawler import CrawlStats
-from repro.crawler.database import ApkRecord, AppSnapshot, SnapshotDatabase
+from repro.crawler.database import ApkRecord, SnapshotDatabase
 from repro.crawler.proxies import ProxyPool
 from repro.crawler.scheduler import _GEO_FENCED_STORES
 from repro.crawler.webapi import StoreWebApi
@@ -384,33 +383,42 @@ class EcosystemService:
 
         Commits run in listing order regardless of which client finished
         first, which keeps the write stream -- and everything derived
-        from it -- identical across client counts.
+        from it -- identical across client counts.  The day's pages land
+        as one columnar append and one streaming fold; APKs and comments
+        follow app by app.  A page's version is interned before its
+        APK's (the same string), so the shared ``versions`` table grows
+        in the same order as with per-app writes.
         """
         data = self.data_metrics
         store_name = self.store.name
-        for _, observation in sorted(observations, key=lambda pair: pair[0]):
-            page = observation.page
-            self.database.add_snapshot(
-                AppSnapshot(
-                    store=store_name,
-                    day=observed_day,
-                    app_id=page.app_id,
-                    name=page.name,
-                    category=page.category,
-                    developer_id=page.developer_id,
-                    price=page.price,
-                    declares_ads=page.declares_ads,
-                    total_downloads=page.statistics.total_downloads,
-                    rating_count=page.statistics.rating_count,
-                    average_rating=page.statistics.average_rating,
-                    comment_count=page.statistics.comment_count,
-                    version_name=page.statistics.version_name,
-                )
-            )
-            data.counter("service.snapshots_committed").add(1)
-            self.analytics.observe_snapshot(
-                page.app_id, observed_day, page.statistics.total_downloads
-            )
+        ordered = [
+            observation
+            for _, observation in sorted(observations, key=lambda pair: pair[0])
+        ]
+        pages = [observation.page for observation in ordered]
+        statistics = [page.statistics for page in pages]
+        app_ids = [page.app_id for page in pages]
+        totals = [stats.total_downloads for stats in statistics]
+        self.database.columnar.extend_snapshots(
+            store_name,
+            observed_day,
+            {
+                "app_id": app_ids,
+                "name": [page.name for page in pages],
+                "category": [page.category for page in pages],
+                "developer_id": [page.developer_id for page in pages],
+                "price": [page.price for page in pages],
+                "declares_ads": [page.declares_ads for page in pages],
+                "total_downloads": totals,
+                "rating_count": [stats.rating_count for stats in statistics],
+                "average_rating": [stats.average_rating for stats in statistics],
+                "comment_count": [stats.comment_count for stats in statistics],
+                "version_name": [stats.version_name for stats in statistics],
+            },
+        )
+        data.counter("service.snapshots_committed").add(len(pages))
+        self.analytics.observe_day(observed_day, app_ids, totals)
+        for observation in ordered:
             if observation.apk is not None:
                 apk = observation.apk
                 stored = self.database.add_apk(

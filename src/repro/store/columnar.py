@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +120,13 @@ class ColumnarStore:
     # Writes
     # ------------------------------------------------------------------
 
+    def _snapshot_buffers(self, store: str, day: int) -> Dict[str, List]:
+        buffers = self._buffers.get((store, day))
+        if buffers is None:
+            buffers = {column: [] for column in SNAPSHOT_COLUMNS}
+            self._buffers[(store, day)] = buffers
+        return buffers
+
     def add_snapshot_row(
         self,
         store: str,
@@ -137,10 +144,7 @@ class ColumnarStore:
         version_name: str,
     ) -> None:
         """Buffer one (store, day, app) observation."""
-        buffers = self._buffers.get((store, day))
-        if buffers is None:
-            buffers = {column: [] for column in SNAPSHOT_COLUMNS}
-            self._buffers[(store, day)] = buffers
+        buffers = self._snapshot_buffers(store, day)
         buffers["app_id"].append(app_id)
         buffers["name_id"].append(self.names.intern(name))
         buffers["category_id"].append(self.categories.intern(category))
@@ -155,24 +159,39 @@ class ColumnarStore:
         get_registry().counter("store.rows_ingested.snapshots").add(1)
 
     def extend_snapshots(
-        self, store: str, day: int, columns: Dict[str, np.ndarray]
+        self, store: str, day: int, columns: Mapping[str, Sequence]
     ) -> None:
-        """Bulk-buffer one day of snapshot rows from column arrays.
+        """Bulk-buffer one day of snapshot rows from column sequences.
 
-        The fast ingest path: callers provide already-encoded columns
-        (``name_id``/``category_id``/``version_id`` ids from this
-        store's intern tables) and pay no per-row Python cost.
+        ``columns`` holds one sequence per snapshot column, in row order.
+        An intern-id column may come as ids from this store's tables
+        (``name_id``, ``category_id``, ``version_id``) or as its strings
+        (``name``, ``category``, ``version_name``).  Strings are interned
+        in row order, so the rows encode exactly as the same rows added
+        one at a time through :meth:`add_snapshot_row`.
         """
-        missing = [name for name in SNAPSHOT_COLUMNS if name not in columns]
+        strings = {
+            "name_id": ("name", self.names),
+            "category_id": ("category", self.categories),
+            "version_id": ("version_name", self.versions),
+        }
+        sources = {}
+        for column in SNAPSHOT_COLUMNS:
+            if column in columns:
+                sources[column] = columns[column]
+            elif column in strings and strings[column][0] in columns:
+                field, table = strings[column]
+                # Lazy, so nothing is interned before the check below.
+                sources[column] = map(table.intern, columns[field])
+        missing = [column for column in SNAPSHOT_COLUMNS if column not in sources]
         if missing:
             raise KeyError(f"missing snapshot columns: {missing}")
-        buffers = self._buffers.get((store, day))
-        if buffers is None:
-            buffers = {column: [] for column in SNAPSHOT_COLUMNS}
-            self._buffers[(store, day)] = buffers
-        n_rows = int(np.asarray(columns["app_id"]).size)
-        for name in SNAPSHOT_COLUMNS:
-            buffers[name].extend(np.asarray(columns[name]).tolist())
+        buffers = self._snapshot_buffers(store, day)
+        for column, values in sources.items():
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            buffers[column].extend(values)
+        n_rows = len(columns["app_id"])
         get_registry().counter("store.rows_ingested.snapshots").add(n_rows)
 
     def add_comment_row(

@@ -60,6 +60,16 @@ class TestHistogram:
         with pytest.raises(ValueError):
             registry.histogram("h", edges=(1.0, 3.0))
 
+    def test_reuse_accepts_equal_edges_of_any_sequence_type(self):
+        registry = MetricsRegistry()
+        created = registry.histogram("h", edges=(1.0, 2.0))
+        assert registry.histogram("h", edges=[1.0, 2.0]) is created
+        assert registry.histogram("h", edges=[1, 2]) is created
+        assert registry.histogram("d") is registry.histogram("d", list(DEFAULT_BUCKET_EDGES))
+        for different in ([1.0, 3.0], [1.0], (1.0, 2.0, 4.0), [0.5, 2.0]):
+            with pytest.raises(ValueError, match="already exists"):
+                registry.histogram("h", edges=different)
+
     def test_default_edges(self):
         histogram = Histogram("h")
         assert histogram.edges == DEFAULT_BUCKET_EDGES

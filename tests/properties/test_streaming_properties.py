@@ -13,6 +13,8 @@ checks each with the right tool:
   demanding equality.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.analysis.streaming import (
     StreamingAnalytics,
 )
 from repro.core.pareto import gini_coefficient
+from repro.obs.metrics import MetricsRegistry
 from repro.stats.distributions import cumulative_share
 from repro.stats.rng import make_rng
 from repro.stats.zipf import fit_zipf_exponent_mle
@@ -63,6 +66,116 @@ def feed(observations):
     for app_id, day, downloads in observations:
         state.observe(app_id, day, downloads)
     return state
+
+
+def day_runs(observations):
+    """Consecutive same-day runs of an arrival stream, as the per-day
+    fold takes them: ``(day, app_ids, totals)``."""
+    for day, run in itertools.groupby(observations, key=lambda row: row[1]):
+        rows = list(run)
+        yield day, [row[0] for row in rows], [row[2] for row in rows]
+
+
+class ReferenceDownloadState:
+    """The per-snapshot state update the per-day fold replaced."""
+
+    def __init__(self):
+        self.by_app = {}
+        self.version = 0
+
+    def observe(self, app_id, day, total_downloads):
+        current = self.by_app.get(app_id)
+        if current is not None and current[0] > day:
+            return
+        self.by_app[app_id] = (day, int(total_downloads))
+        self.version += 1
+
+
+class ReferenceP2:
+    """The per-value P² update the per-day fold replaced."""
+
+    def __init__(self, q):
+        self.q = q
+        self._initial = []
+        self._heights = []
+        self._positions = []
+        self._desired = []
+        self._increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
+        self.count = 0
+
+    def observe(self, value):
+        value = float(value)
+        self.count += 1
+        if self.count <= 5:
+            self._initial.append(value)
+            if self.count == 5:
+                self._initial.sort()
+                self._heights = list(self._initial)
+                self._positions = [1, 2, 3, 4, 5]
+                self._desired = [1.0 + 4.0 * i for i in self._increments]
+            return
+        heights = self._heights
+        positions = self._positions
+        if value < heights[0]:
+            heights[0] = value
+            cell = 0
+        elif value >= heights[4]:
+            heights[4] = value
+            cell = 3
+        else:
+            cell = 0
+            while cell < 3 and value >= heights[cell + 1]:
+                cell += 1
+        for marker in range(cell + 1, 5):
+            positions[marker] += 1
+        for marker in range(5):
+            self._desired[marker] += self._increments[marker]
+        for marker in (1, 2, 3):
+            drift = self._desired[marker] - positions[marker]
+            step_up = positions[marker + 1] - positions[marker]
+            step_down = positions[marker - 1] - positions[marker]
+            if (drift >= 1.0 and step_up > 1) or (drift <= -1.0 and step_down < -1):
+                direction = 1 if drift >= 1.0 else -1
+                candidate = self._parabolic(marker, direction)
+                if heights[marker - 1] < candidate < heights[marker + 1]:
+                    heights[marker] = candidate
+                else:
+                    heights[marker] = self._linear(marker, direction)
+                positions[marker] += direction
+
+    def _parabolic(self, marker, direction):
+        heights = self._heights
+        positions = self._positions
+        here = positions[marker]
+        below = positions[marker - 1]
+        above = positions[marker + 1]
+        return heights[marker] + (direction / (above - below)) * (
+            (here - below + direction)
+            * (heights[marker + 1] - heights[marker])
+            / (above - here)
+            + (above - here - direction)
+            * (heights[marker] - heights[marker - 1])
+            / (here - below)
+        )
+
+    def _linear(self, marker, direction):
+        heights = self._heights
+        positions = self._positions
+        neighbor = marker + direction
+        return heights[marker] + direction * (
+            heights[neighbor] - heights[marker]
+        ) / (positions[neighbor] - positions[marker])
+
+
+def p2_markers(sketch):
+    """Every piece of P² state, floats as their exact bits."""
+    return (
+        sketch.count,
+        [value.hex() for value in sketch._initial],
+        [value.hex() for value in sketch._heights],
+        list(sketch._positions),
+        [value.hex() for value in sketch._desired],
+    )
 
 
 class TestDownloadStateEquivalence:
@@ -190,6 +303,40 @@ class TestP2Quantile:
         assert min(values) <= sketch.value <= max(values)
         assert sketch.count == len(values)
 
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(
+                    min_value=-1e9,
+                    max_value=1e9,
+                    allow_nan=False,
+                    allow_infinity=False,
+                ),
+                st.integers(min_value=0, max_value=10**9),
+            ),
+            max_size=200,
+        ),
+        cuts=st.lists(st.integers(min_value=0, max_value=200), max_size=12),
+        q=st.sampled_from([0.1, 0.5, 0.9, 0.99]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_per_day_fold_is_bit_equal_to_per_value_observe(
+        self, values, cuts, q
+    ):
+        reference = ReferenceP2(q)
+        for value in values:
+            reference.observe(value)
+        # Any split into days, empty days included.
+        bounds = [0] + sorted(min(cut, len(values)) for cut in cuts) + [len(values)]
+        folded = P2Quantile(q)
+        one_by_one = P2Quantile(q)
+        for start, stop in zip(bounds, bounds[1:]):
+            folded.observe_many(values[start:stop])
+            for value in values[start:stop]:
+                one_by_one.observe(value)
+        assert p2_markers(folded) == p2_markers(reference)
+        assert p2_markers(one_by_one) == p2_markers(reference)
+
     def test_q_must_be_a_proper_fraction(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
@@ -241,6 +388,46 @@ class TestStreamingAnalyticsFacade:
             one.state.positive_downloads() == other.state.positive_downloads()
         ).all()
         assert one.zipf.value == other.zipf.value
+
+
+class TestPerDayFold:
+    @given(observations=snapshots, shuffle_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_day_fold_equals_per_snapshot_observes(
+        self, observations, shuffle_seed
+    ):
+        shuffled = list(observations)
+        make_rng(shuffle_seed).shuffle(shuffled)
+
+        reference_state = ReferenceDownloadState()
+        reference_sketches = {
+            q: ReferenceP2(q) for q in StreamingAnalytics.QUANTILES
+        }
+        per_snapshot = StreamingAnalytics("demo")
+        for app_id, day, downloads in shuffled:
+            reference_state.observe(app_id, day, downloads)
+            for sketch in reference_sketches.values():
+                sketch.observe(float(downloads))
+            per_snapshot.observe_snapshot(app_id, day, downloads)
+
+        per_day = StreamingAnalytics("demo")
+        for day, app_ids, totals in day_runs(shuffled):
+            per_day.observe_day(day, app_ids, totals)
+
+        for analytics in (per_day, per_snapshot):
+            assert analytics.snapshots_seen == len(shuffled)
+            assert analytics.state.version == reference_state.version
+            assert analytics.state.n_apps == len(reference_state.by_app)
+            assert (
+                analytics.state.positive_downloads()
+                == batch_final_vector(shuffled)
+            ).all()
+            for q, sketch in analytics.quantiles.items():
+                assert p2_markers(sketch) == p2_markers(reference_sketches[q])
+        exported = [MetricsRegistry(), MetricsRegistry()]
+        per_day.export(exported[0])
+        per_snapshot.export(exported[1])
+        assert exported[0].snapshot() == exported[1].snapshot()
 
 
 class TestSegmentDownloadShares:

@@ -8,8 +8,58 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultKind,
     FaultPlan,
+    FiredFault,
     named_plan,
 )
+from repro.stats.rng import make_rng
+
+
+class ListScanInjector:
+    """The reference injector: one plan-ordered list, scanned per poll."""
+
+    def __init__(self, plan):
+        self._pending = list(plan.events)
+        self.trace = []
+
+    @property
+    def pending(self):
+        return tuple(self._pending)
+
+    def take(self, now, kind, detail=""):
+        for index, event in enumerate(self._pending):
+            if event.at > now:
+                break
+            if event.kind is kind:
+                del self._pending[index]
+                self.record(event, now, detail)
+                return event
+        return None
+
+    def take_all(self, now, kind):
+        due = [e for e in self._pending if e.at <= now and e.kind is kind]
+        if due:
+            taken = set(map(id, due))
+            self._pending = [e for e in self._pending if id(e) not in taken]
+        return due
+
+    def record(self, event, now, detail):
+        self.trace.append(
+            FiredFault(at=event.at, fired_at=now, kind=event.kind, detail=detail)
+        )
+
+    def maybe_raise_transient(self, now, where):
+        for index, event in enumerate(self._pending):
+            if event.at > now:
+                break
+            if event.kind is FaultKind.TRANSIENT_ERROR:
+                del self._pending[index]
+                self.record(event, now, f"transient error at {where}")
+                raise TransientFault(
+                    f"injected transient error at {where} (due t={event.at:.3f})"
+                )
+
+    def trace_lines(self):
+        return [fired.describe() for fired in self.trace]
 
 
 class TestFaultPlan:
@@ -107,3 +157,46 @@ class TestFaultInjector:
             return injector.trace_lines()
 
         assert run() == run()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_per_kind_queues_match_the_list_scan(self, seed):
+        """Random polls, with the clock wandering back now and then: every
+        answer, the pending plan and the trace match the list scan."""
+        plan = named_plan("aggressive", seed=seed, horizon=300.0)
+        # Exact ties across kinds, which the plan breaks by kind.
+        ties = tuple(
+            FaultEvent(at=event.at, kind=kind, magnitude=event.magnitude)
+            for event in plan.events[::7]
+            for kind in FaultKind
+        )
+        plan = FaultPlan(plan.name, plan.seed, plan.horizon, plan.events + ties)
+        reference, injector = ListScanInjector(plan), FaultInjector(plan)
+        rng = make_rng(seed)
+        kinds = list(FaultKind)
+        clock = 0.0
+        for _ in range(600):
+            clock = max(0.0, clock + float(rng.normal(1.0, 2.0)))
+            kind = kinds[int(rng.integers(len(kinds)))]
+            action = int(rng.integers(3))
+            if action == 0:
+                expected = reference.take(clock, kind, detail="taken")
+                assert injector.take(clock, kind, detail="taken") == expected
+            elif action == 1:
+                expected = reference.take_all(clock, kind)
+                assert injector.take_all(clock, kind) == expected
+                for event in expected:
+                    reference.record(event, clock, "applied")
+                    injector.record(event, clock, "applied")
+            else:
+                raised = []
+                for target in (reference, injector):
+                    try:
+                        target.maybe_raise_transient(clock, where="poll")
+                    except TransientFault as fault:
+                        raised.append(str(fault))
+                    else:
+                        raised.append(None)
+                assert raised[1] == raised[0]
+            assert injector.pending == reference.pending
+            assert injector.trace_lines() == reference.trace_lines()
+        assert not injector.pending

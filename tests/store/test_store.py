@@ -217,6 +217,55 @@ class TestColumnarQueries:
         bulk.extend_snapshots("s", 4, columns)
         assert bulk.fingerprint() == per_row.fingerprint()
 
+    def test_extend_snapshots_interns_strings_in_row_order(self):
+        """A day given as strings encodes exactly like per-row writes,
+        and an APK of a row's version leaves the shared version table in
+        the same order whether it lands per app or after the day."""
+        rows = [
+            (5, "beta", "tools", "2.0"),
+            (2, "alpha", "games", "1.0"),
+            (9, "gamma", "games", "2.0"),
+            (2, "alpha", "games", "1.1"),
+            (7, "delta", "music", "3.0"),
+        ]
+        per_row = ColumnarStore()
+        for app_id, name, category, version in rows:
+            per_row.add_snapshot_row(
+                "s", 3, app_id, name, category, 1, 0.5, True, 10 * app_id,
+                app_id, 4.0, 0, version,
+            )
+            per_row.add_apk_row("s", app_id, version, f"pkg.{name}", 1.5, ())
+
+        bulk = ColumnarStore()
+        bulk.extend_snapshots(
+            "s",
+            3,
+            {
+                "app_id": [row[0] for row in rows],
+                "name": [row[1] for row in rows],
+                "category": [row[2] for row in rows],
+                "developer_id": [1] * len(rows),
+                "price": [0.5] * len(rows),
+                "declares_ads": [True] * len(rows),
+                "total_downloads": [10 * row[0] for row in rows],
+                "rating_count": [row[0] for row in rows],
+                "average_rating": [4.0] * len(rows),
+                "comment_count": [0] * len(rows),
+                "version_name": [row[3] for row in rows],
+            },
+        )
+        for app_id, name, _, version in rows:
+            bulk.add_apk_row("s", app_id, version, f"pkg.{name}", 1.5, ())
+
+        for table in ("names", "categories", "versions", "packages"):
+            assert getattr(bulk, table).values() == getattr(per_row, table).values()
+        for column in SNAPSHOT_COLUMNS:
+            assert (
+                bulk.chunk("s", 3).column(column).tolist()
+                == per_row.chunk("s", 3).column(column).tolist()
+            )
+        assert bulk.fingerprint() == per_row.fingerprint()
+
     def test_extend_snapshots_rejects_missing_columns(self):
         store = ColumnarStore()
         with pytest.raises(KeyError):
