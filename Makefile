@@ -60,7 +60,7 @@ bench-smoke:
 # those that read the simulated stores' crawls, and those that run the
 # APP-CLUSTERING grid fits (Figures 8-10 and the forecast), must keep
 # their EXPERIMENTS.md claims.  fig03, fig12 and the cache-policy
-# ablation fail on main and stay out until fixed (ROADMAP item 6).
+# ablation fail on main and stay out until fixed (ROADMAP item 8).
 bench-shapes:
 	$(PYTHON) -m pytest -q \
 		benchmarks/bench_fig19_cache.py \

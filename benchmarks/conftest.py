@@ -12,6 +12,8 @@ run (stdout is captured by pytest).
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -67,22 +69,41 @@ def build_benchmark_campaigns() -> dict:
     return campaigns
 
 
-_CACHE_PATH = Path(__file__).parent / ".crawl_cache.jsonl"
+_SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def crawl_cache_key() -> str:
+    """sha256 over everything the crawl depends on: every source file of
+    the package (path and bytes) and the benchmark's scales and seed."""
+    digest = hashlib.sha256()
+    for path in sorted(_SOURCE_ROOT.rglob("*.py")):
+        digest.update(path.relative_to(_SOURCE_ROOT).as_posix().encode())
+        digest.update(path.read_bytes())
+    digest.update(json.dumps([_SCALES, _SEED], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def _cache_path(key: str) -> Path:
+    return Path(__file__).parent / f".crawl_cache-{key[:16]}.jsonl"
 
 
 @pytest.fixture(scope="session")
 def database() -> SnapshotDatabase:
     """The shared snapshot database holding all four crawls.
 
-    Building the campaigns takes a couple of minutes, so the crawled
-    database is cached on disk; delete ``benchmarks/.crawl_cache.jsonl``
-    to force a rebuild (e.g. after changing the generator).
+    Building the campaigns takes a while, so the crawled database is
+    cached on disk under a name keyed by :func:`crawl_cache_key`: a
+    change to the code, the scales or the seed rebuilds it, and the
+    stale caches are deleted.
     """
-    if _CACHE_PATH.exists():
-        return SnapshotDatabase.load(_CACHE_PATH)
+    path = _cache_path(crawl_cache_key())
+    if path.exists():
+        return SnapshotDatabase.load(path)
     campaigns = build_benchmark_campaigns()
     database = next(iter(campaigns.values())).database
-    database.save(_CACHE_PATH)
+    for stale in path.parent.glob(".crawl_cache*.jsonl"):
+        stale.unlink()
+    database.save(path)
     return database
 
 

@@ -13,11 +13,13 @@ the alias method was chosen for.  This module batches the inner loop:
   vectorized: a bit-packed ``(n_users, n_apps)`` ownership matrix or a
   compact ``(n_users, capacity)`` matrix of each user's downloaded app
   ids, whichever is smaller (:func:`ledger_mode`);
-- :func:`masked_head_tail_draw` -- the near-rejection-free sampling
-  kernel: the top-``K`` head of the distribution is renormalized exactly
-  against each user's ownership byte, and tail picks from the alias
-  table are thinned against the ledger -- a near-certain accept, so
-  redraw loops all but disappear;
+- :func:`masked_head_tail_draw` -- the one near-rejection-free kernel
+  every fetch-at-most-once draw goes through: each user draws from its
+  own law of a :class:`~repro.stats.sampling.HeadTailSampler` stack, the
+  law's top-8 head is renormalized exactly against the user's ownership
+  byte, and tail picks from the law's alias table are thinned against
+  the ledger -- a near-certain accept, so redraw loops all but
+  disappear;
 - :func:`sample_new_apps` -- the rejection kernel of the feedback model,
   whose chart changes at every refresh: draw candidate apps for a whole
   window of user slots, reject already-downloaded (and intra-batch
@@ -28,7 +30,8 @@ the alias method was chosen for.  This module batches the inner loop:
   fetch-at-most-once streams are round-vectorized: round ``k`` serves
   the ``k``-th download of every user with budget left, so user slots
   within a kernel call are unique by construction (the batch-level dedup
-  happens before any ledger lookup, not after a collision).
+  happens before any ledger lookup, not after a collision), and a round
+  is at most one clustered and one global kernel call.
 
 The per-user decision process is untouched: every user still runs the
 exact Markov chain of Section 5.1, so the batched streams are
@@ -39,7 +42,7 @@ asserts this); only the interleaving of *independent* users differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -172,7 +175,7 @@ class DownloadLedger:
         # Registered head lists (compact mode): per-head uint8 mask rows
         # plus app -> (head row, bit) tables so adds keep masks current.
         self._head_rows: dict = {}
-        self._grouped_rows: dict = {}
+        self._stack_rows: dict = {}
         self._head_masks: Optional[np.ndarray] = None
         self._head_slot_row: Optional[np.ndarray] = None
         self._head_slot_bit: Optional[np.ndarray] = None
@@ -188,7 +191,7 @@ class DownloadLedger:
         assert self._owned is not None
         rows = self._owned[users]
         # asarray is a no-copy view when callers already pass int32 (the
-        # fused kernel's tail draws do).
+        # masked kernel's tail draws do).
         return (rows == np.asarray(apps, dtype=np.int32)[:, None]).any(axis=1)
 
     def owners(self, app: int) -> np.ndarray:
@@ -324,18 +327,30 @@ class DownloadLedger:
         self._head_rows[apps.tobytes()] = row
         return row
 
-    def prepare_head(self, apps: np.ndarray) -> None:
-        """Pre-register a head app list (compact mode; no-op otherwise).
+    def prepare_heads(self, heads: np.ndarray) -> None:
+        """Pre-register a stack's head matrix (compact mode; no-op otherwise).
 
-        Registration is cheapest while the ledger is empty; the kernels
-        auto-register on first use, but a stream that knows its heads
-        up front should call this right after construction.
+        Registration is cheapest while the ledger is empty; the kernel
+        registers on first use, but a stream that knows its laws up
+        front should call this right after construction.
         """
-        if self._owned is None:
-            return
-        key = apps.tobytes()
-        if key not in self._head_rows:
-            self._register_head(apps)
+        if self._owned is not None:
+            self._stack_head_rows(heads)
+
+    def _stack_head_rows(self, heads: np.ndarray) -> np.ndarray:
+        """Mask row of each law of a ``(L, 8)`` head matrix (``-1``
+        padded), registering heads not seen before; laws with the same
+        head share a row."""
+        key = heads.tobytes()
+        rows = self._stack_rows.get(key)
+        if rows is None:
+            rows = np.empty(heads.shape[0], dtype=np.int64)
+            for law, head in enumerate(heads):  # repro: noqa=RPL020 -- one-time registration, once per law
+                apps = head[head >= 0]
+                row = self._head_rows.get(apps.tobytes())
+                rows[law] = self._register_head(apps) if row is None else row
+            self._stack_rows[key] = rows
+        return rows
 
     def _update_head_masks(self, users: np.ndarray, apps: np.ndarray) -> None:
         if self._head_slot_row is None:
@@ -358,65 +373,38 @@ class DownloadLedger:
                 1, apps[hit]
             ]
 
-    def _packed_head_bytes(
-        self, users: np.ndarray, apps: np.ndarray
-    ) -> np.ndarray:
-        """Packed backend: ``apps`` is ``(k,)`` or ``(len(users), k)``."""
-        assert self._bits is not None
-        owned = (
-            self._bits[users[:, None], apps >> 3] & _BIT[apps & 7]
-        ) != 0
-        return np.packbits(owned, axis=1, bitorder="little")[:, 0]
-
-    def head_bytes(self, users: np.ndarray, apps: np.ndarray) -> np.ndarray:
-        """Per-user ownership byte for one head list of at most 8 apps.
-
-        Bit ``j`` of ``out[i]`` says ``users[i]`` already downloaded
-        ``apps[j]`` -- the gather the masked head kernel leans on.  The
-        compact backend keeps the byte as a registered mask row (heads
-        register on first use); the packed backend gathers the ``k``
-        bits and packs them, so any head list works without
-        registration.
-        """
-        if self._bits is not None:
-            return self._packed_head_bytes(users, apps)
-        row = self._head_rows.get(apps.tobytes())
-        if row is None:
-            row = self._register_head(apps)
-        assert self._head_masks is not None
-        return self._head_masks[row, users]
-
-    def head_bytes_grouped(
+    def head_bytes(
         self,
         users: np.ndarray,
-        head_apps: np.ndarray,
-        group_ids: np.ndarray,
+        heads: np.ndarray,
+        law_ids: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Per-user ownership byte when each user draws from its group's head.
+        """Per-user ownership byte of the head of the user's law.
 
-        ``head_apps`` is a ``(n_groups, k)`` matrix of app ids -- one head
-        list per group -- and ``group_ids[i]`` names the group of
-        ``users[i]``; bit ``j`` of ``out[i]`` says ``users[i]`` owns
-        ``head_apps[group_ids[i], j]``.  This is the gather behind the
-        fused clustered kernel: one call covers every cluster in a round
-        instead of one :meth:`head_bytes` call per cluster.
+        ``heads`` is a stack's ``(L, 8)`` head matrix (``-1`` past a
+        law's last head app) and ``law_ids[i]`` names the law of
+        ``users[i]``; ``None`` gives every user law 0.  Bit ``j`` of
+        ``out[i]`` says ``users[i]`` already downloaded head slot ``j``
+        of its law; padded slots read as not owned.  This is the gather
+        the masked kernel leans on.  The compact backend keeps each head
+        as a registered mask row (heads register on first use); the
+        packed backend gathers the eight bits and packs them, so any
+        head works without registration.
         """
         if self._bits is not None:
-            return self._packed_head_bytes(users, head_apps[group_ids])
-        n_groups = head_apps.shape[0]
-        key = head_apps.tobytes()
-        rows = self._grouped_rows.get(key)
-        if rows is None:
-            rows = np.empty(n_groups, dtype=np.int64)
-            for g in range(n_groups):  # repro: noqa=RPL020 -- one-time registration, O(n_groups)
-                group_head = np.ascontiguousarray(head_apps[g])
-                row = self._head_rows.get(group_head.tobytes())
-                if row is None:
-                    row = self._register_head(group_head)
-                rows[g] = row
-            self._grouped_rows[key] = rows
+            columns = heads >> 3
+            masks = np.where(heads >= 0, _BIT[heads & 7], np.uint8(0))
+            if law_ids is None:
+                columns, masks = columns[0], masks[0]
+            else:
+                columns, masks = columns[law_ids], masks[law_ids]
+            owned = (self._bits[users[:, None], columns] & masks) != 0
+            return np.packbits(owned, axis=1, bitorder="little")[:, 0]
+        rows = self._stack_head_rows(heads)
         assert self._head_masks is not None
-        return self._head_masks[rows[group_ids], users]
+        if law_ids is None:
+            return self._head_masks[rows[0], users]
+        return self._head_masks[rows[law_ids], users]
 
     def saturated(self, users: np.ndarray) -> np.ndarray:
         """Mask of users that have already downloaded every app."""
@@ -464,44 +452,6 @@ def interleaved_user_order(
     order = np.repeat(np.arange(budgets.size, dtype=np.int64), budgets)
     rng.shuffle(order)
     return order
-
-
-@pure
-def partition_by_blocks(
-    values: np.ndarray, boundaries: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group values into the contiguous blocks a boundary vector defines.
-
-    ``boundaries`` is an ascending ``int64`` vector ``[b_0, ..., b_K]``
-    where block ``k`` owns the half-open range ``[b_k, b_{k+1})`` --
-    exactly the layout persona segments and sharded user blocks use.
-    Returns ``(block_ids, order, starts)``:
-
-    - ``block_ids[i]`` -- block index of ``values[i]``;
-    - ``order`` -- a *stable* permutation sorting values by block, so
-      relative order inside each block is preserved;
-    - ``starts`` -- length ``K + 1``; block ``k``'s members sit at
-      ``order[starts[k]:starts[k+1]]``.
-
-    One call replaces a per-element membership loop: downstream code
-    touches each block with a single slice (one kernel invocation per
-    block, the contract lint rule RPL020 holds the segment modules to).
-    """
-    values = np.asarray(values, dtype=np.int64)
-    bounds = np.asarray(boundaries, dtype=np.int64)
-    if bounds.ndim != 1 or bounds.size < 2:
-        raise ValueError("boundaries must hold at least [start, stop]")
-    n_blocks = bounds.size - 1
-    block_ids = np.searchsorted(bounds[1:], values, side="right").astype(
-        np.int64
-    )
-    if values.size and (block_ids.max() >= n_blocks or values.min() < bounds[0]):
-        raise ValueError("values fall outside the boundary range")
-    order = np.argsort(block_ids, kind="stable")
-    starts = np.searchsorted(
-        block_ids[order], np.arange(n_blocks + 1, dtype=np.int64)
-    )
-    return block_ids, order, starts
 
 
 def sample_new_apps(
@@ -559,37 +509,46 @@ def sample_new_apps(
 
 
 def masked_head_tail_draw(
-    sampler: HeadTailSampler,
+    laws: HeadTailSampler,
     users: np.ndarray,
+    law_ids: Optional[np.ndarray],
     ledger: DownloadLedger,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw one not-yet-downloaded app per user, near-rejection-free.
 
-    ``users`` must be **unique** (the round-vectorized streams guarantee
-    it: one slot per user per round), so accepted picks cannot collide
-    within a call and nothing here mutates the ledger -- the caller
-    commits accepted pairs afterwards with :meth:`DownloadLedger.add_unique`.
+    ``users[i]`` draws from law ``law_ids[i]`` of the stack ``laws``
+    (``law_ids=None``: every user draws law 0), so one call serves a
+    whole round whatever law each user is on.  ``users`` must be
+    **unique** (the round-vectorized streams guarantee it: one slot per
+    user per round), so accepted picks cannot collide within a call and
+    nothing here mutates the ledger -- the caller commits accepted pairs
+    afterwards with :meth:`DownloadLedger.add_unique`.
 
     The draw is exact, not approximate.  Per user, the target law is the
-    input distribution renormalized over apps the user does not own.
-    The head (top-``K``) part is materialized: ownership bits from the
-    ledger zero out owned head weights, and a single uniform over
-    ``masked_head_mass + tail_mass`` both routes the draw and picks the
-    head slot (owned slots have zero width in the cumulative sum, so
-    they are skipped for free).  Draws routed to the tail sample the
-    alias table and are thinned against the ledger; a rejected tail pick
-    re-enters the *whole* mixture draw, which is classic rejection
-    sampling of the renormalized law with acceptance probability
-    ``1 - owned_tail_mass / (masked_head_mass + tail_mass)`` -- near one
-    for Zipf-shaped inputs, where ownership concentrates in the head.
+    user's law renormalized over apps the user does not own.  The head
+    part is materialized: the ledger's ownership byte picks a row of the
+    law's byte table, which zeroes out owned head weights, and a single
+    uniform over ``masked_head_mass + tail_mass`` both routes the draw
+    and picks the head slot (owned and padded slots have zero width in
+    the cumulative sum, so they are skipped for free).  Draws routed to
+    the tail sample the law's alias table and are thinned against the
+    ledger; a rejected tail pick re-enters the *whole* mixture draw,
+    which is classic rejection sampling of the renormalized law with
+    acceptance probability ``1 - owned_tail_mass / (masked_head_mass +
+    tail_mass)`` -- near one for Zipf-shaped inputs, where ownership
+    concentrates in the head.
 
+    When one byte table serves the whole call (a single law, or laws
+    that share their tables), the ownership byte itself is the table
+    row and every tail column has one scalar bound; otherwise each law's
+    256 rows follow the previous law's and tail bounds are per user.
     Both ledger backends consume no randomness and return identical
     bytes, so output is bit-identical across them.  Returns ``-1`` for
     users with nothing left to draw (or, pathologically, users that
     exhaust :data:`MAX_DRAW_ATTEMPTS` while owning almost the whole
-    tail);
-    failures are counted under ``engine.events_unfilled`` by the stream.
+    tail); failures are counted under ``engine.events_unfilled`` by the
+    stream.
     """
     metrics = get_registry()
     redraw_counter = metrics.counter("engine.tail_redraws")
@@ -597,15 +556,16 @@ def masked_head_tail_draw(
     apps = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return apps
-    head = sampler.head
-    # Per-user renormalization collapses to table lookups: the masked
-    # cumulative head weights depend only on the user's 8-bit ownership
-    # byte (see HeadTailSampler.head_byte_tables).
-    cum_table, avail_table = sampler.head_byte_tables()
-    chunk = ledger.head_bytes(users, head)
-    head_avail = avail_table[chunk]
-    total = head_avail + np.float32(sampler.tail_weight)
-    if sampler.has_tail:
+    chunk = ledger.head_bytes(users, laws.heads, law_ids)
+    # ``table``: each user's byte and alias table, or 0 for every user.
+    if law_ids is None or laws.shared:
+        table, rows = 0, chunk
+    else:
+        table, rows = law_ids, (law_ids.astype(np.intp) << 8) | chunk
+    head_avail = laws.avail_table[rows]
+    total = head_avail + laws.tail_mass[table]
+    lacking_tail = None
+    if laws.has_tail.all():
         # Positive tail mass keeps every total positive: all users pend.
         pending = np.arange(n, dtype=np.int64)
         full = True
@@ -613,6 +573,7 @@ def masked_head_tail_draw(
         # Users with no head mass left and no tail have nothing to draw.
         pending = np.flatnonzero(total > 0)
         full = pending.size == n
+        lacking_tail = np.broadcast_to(~laws.has_tail[table], (n,))
     for attempt in range(MAX_DRAW_ATTEMPTS):
         if pending.size == 0:
             break
@@ -626,149 +587,32 @@ def masked_head_tail_draw(
         in_head = r < avail_p
         head_rows = pending[in_head]
         if head_rows.size:
-            picks = (cum_table[chunk[head_rows]] <= r[in_head, None]).sum(
+            picks = (laws.cum_table[rows[head_rows]] <= r[in_head, None]).sum(
                 axis=1
             )
-            apps[head_rows] = head[picks]
+            if law_ids is None:
+                apps[head_rows] = laws.heads[0, picks]
+            else:
+                apps[head_rows] = laws.heads[law_ids[head_rows], picks]
         tail_rows = pending[~in_head]
-        if tail_rows.size == 0:
-            pending = tail_rows
-            continue
-        if not sampler.has_tail:
-            # r == head_avail exactly (only possible at head_avail == 0
-            # boundaries): nothing outside the head to fall back to.
-            pending = tail_rows
-            continue
-        draws = sampler.sample_tail(tail_rows.size, rng)
-        fresh = ~ledger.contains(users[tail_rows], draws)
-        accepted = tail_rows[fresh]
-        apps[accepted] = draws[fresh]
-        pending = tail_rows[~fresh]
-    return apps
-
-
-def masked_head_tail_draw_grouped(
-    rank_sampler: HeadTailSampler,
-    users: np.ndarray,
-    group_ids: np.ndarray,
-    tail_members: np.ndarray,
-    head_apps: np.ndarray,
-    ledger: DownloadLedger,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Fused masked draw when every group shares one rank-space law.
-
-    The paper's clustering assigns apps to equal-size clusters with a
-    common internal Zipf exponent, so every cluster's distribution is the
-    *same* distribution over local popularity ranks -- only the rank ->
-    app mapping differs.  That makes one kernel call cover all clusters
-    in a round: ``rank_sampler`` holds the shared rank-space head/tail
-    split, ``tail_members[g, i]`` maps group ``g``'s ``i``-th tail
-    outcome (alias-table order) to a global app id, and
-    ``head_apps[g, j]`` is group ``g``'s ``j``-th head app.  Compared to
-    one :func:`masked_head_tail_draw` per cluster this trades ~30 small
-    dispatches per round for one big one, which is where the clustered
-    model's throughput comes from.
-
-    Semantics are identical to grouping by cluster and calling the
-    per-cluster kernel -- same masking, same thinning -- though the
-    random-number consumption order differs (draws interleave across
-    clusters), so the two paths produce different but equally valid
-    streams.  ``users`` must be unique, as in the base kernel.
-    """
-    metrics = get_registry()
-    redraw_counter = metrics.counter("engine.tail_redraws")
-    n = users.size
-    apps = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return apps
-    # Shared rank-space weights mean the masked renormalization depends
-    # only on each user's 8-bit ownership byte -- two table gathers
-    # replace the per-user cumulative loop (see
-    # HeadTailSampler.head_byte_tables).
-    cum_table, avail_table = rank_sampler.head_byte_tables()
-    chunk = ledger.head_bytes_grouped(users, head_apps, group_ids)
-    head_avail = avail_table[chunk]
-    total = head_avail + np.float32(rank_sampler.tail_weight)
-    if rank_sampler.has_tail:
-        pending = np.arange(n, dtype=np.int64)
-        full = True
-    else:
-        pending = np.flatnonzero(total > 0)
-        full = pending.size == n
-    for attempt in range(MAX_DRAW_ATTEMPTS):
-        if pending.size == 0:
-            break
-        if attempt:
-            redraw_counter.add(int(pending.size))
-        if full and attempt == 0:
-            total_p, avail_p = total, head_avail
-        else:
-            total_p, avail_p = total[pending], head_avail[pending]
-        r = rng.random(pending.size, dtype=np.float32) * total_p
-        in_head = r < avail_p
-        head_rows = pending[in_head]
-        if head_rows.size:
-            picks = (cum_table[chunk[head_rows]] <= r[in_head, None]).sum(
-                axis=1
+        stuck = tail_rows[:0]
+        if lacking_tail is not None:
+            # r == head_avail exactly (a float32 rounding at the top of
+            # the head) under a law without a tail: nothing outside the
+            # head to fall back to, so the draw is repeated.
+            lacking = lacking_tail[tail_rows]
+            stuck, tail_rows = tail_rows[lacking], tail_rows[~lacking]
+        if tail_rows.size:
+            draws = laws.sample_tail(
+                None if law_ids is None else law_ids[tail_rows],
+                tail_rows.size,
+                rng,
             )
-            apps[head_rows] = head_apps[group_ids[head_rows], picks]
-        tail_rows = pending[~in_head]
-        if tail_rows.size == 0:
-            pending = tail_rows
-            continue
-        if not rank_sampler.has_tail:
-            pending = tail_rows
-            continue
-        ranks = rank_sampler.sample_tail_indices(tail_rows.size, rng)
-        draws = tail_members[group_ids[tail_rows], ranks]
-        fresh = ~ledger.contains(users[tail_rows], draws)
-        accepted = tail_rows[fresh]
-        apps[accepted] = draws[fresh]
-        pending = tail_rows[~fresh]
+            fresh = ~ledger.contains(users[tail_rows], draws)
+            apps[tail_rows[fresh]] = draws[fresh]
+            tail_rows = tail_rows[~fresh]
+        pending = np.union1d(tail_rows, stuck) if stuck.size else tail_rows
     return apps
-
-
-def _shared_cluster_structure(
-    cluster_samplers: Mapping[int, AliasSampler],
-    cluster_members: Mapping[int, np.ndarray],
-    n_clusters: int,
-):
-    """Detect when all clusters share one rank-space distribution.
-
-    Returns ``(rank_sampler, members_matrix, head_apps)`` for the fused
-    kernel, or ``None`` when clusters differ in size or weights (an
-    explicit ``cluster_of`` map can produce that), in which case the
-    stream falls back to per-cluster grouped dispatch.
-    """
-    if n_clusters == 0 or len(cluster_samplers) != n_clusters:
-        return None
-    if set(cluster_samplers) != set(range(n_clusters)):
-        return None
-    reference = cluster_samplers[0].probabilities
-    for cluster in range(n_clusters):  # repro: noqa=RPL020 -- construction-time, once per cluster
-        members = cluster_members.get(cluster)
-        if members is None or members.size != reference.size:
-            return None
-        if cluster and not np.array_equal(
-            cluster_samplers[cluster].probabilities, reference
-        ):
-            return None
-    members_matrix = np.stack(
-        [cluster_members[cluster] for cluster in range(n_clusters)]
-    )
-    rank_sampler = HeadTailSampler(reference)
-    # Head lists stay int64: their raw bytes key the ledger's head-mask
-    # registration, matching the lists the per-cluster samplers register.
-    head_apps = np.ascontiguousarray(members_matrix[:, rank_sampler.head])
-    # Tail draws only feed gathers and ledger compares -- int32 halves
-    # that traffic (app ids fit comfortably).  Pre-composing the
-    # rank -> member mapping with alias-table order lets tail draws go
-    # straight from alias indices to app ids, one gather instead of two.
-    tail_members = np.ascontiguousarray(
-        members_matrix[:, rank_sampler.tail_outcomes].astype(np.int32)
-    )
-    return rank_sampler, tail_members, head_apps
 
 
 class VisitedClusters:
@@ -890,14 +734,15 @@ def zipf_event_batches(
 
 
 def zipf_amo_event_batches(
-    sampler: AliasSampler,
+    law: HeadTailSampler,
     n_users: int,
     total_downloads: int,
     rng: np.random.Generator,
-    head_tail: HeadTailSampler,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> Iterator[EventBatch]:
     """ZIPF-at-most-once downloads as a round-vectorized batch stream.
+
+    ``law`` is a stack of one law over the apps ``0 .. n_apps - 1``.
 
     Round ``k`` serves the ``k``-th download of every user with budget
     left, in ascending user order: user slots within a round are unique
@@ -913,10 +758,11 @@ def zipf_amo_event_batches(
     batch_counter = metrics.counter("engine.batches")
     event_counter = metrics.counter("engine.events")
     unfilled_counter = metrics.counter("engine.events_unfilled")
+    n_apps = int(law.sizes[0])
     ledger = DownloadLedger(
-        n_users, sampler.n_outcomes, _budget_capacity(total_downloads, n_users)
+        n_users, n_apps, _budget_capacity(total_downloads, n_users)
     )
-    ledger.prepare_head(head_tail.head)
+    ledger.prepare_heads(law.heads)
     budgets = per_user_budgets(total_downloads, n_users, rng)
     # Budgets take exactly two values (base and base + 1), so the round
     # structure is analytic: every user holds budget for the first
@@ -929,9 +775,7 @@ def zipf_amo_event_batches(
     rounds = [everyone] * base
     if total_downloads % n_users:
         rounds.append(np.flatnonzero(budgets > base))
-    can_saturate = (
-        _budget_capacity(total_downloads, n_users) >= sampler.n_outcomes
-    )
+    can_saturate = _budget_capacity(total_downloads, n_users) >= n_apps
     for holders in rounds:
         if holders.size == 0:
             continue
@@ -946,7 +790,7 @@ def zipf_amo_event_batches(
             active = holders
         if active.size == 0:
             continue
-        apps = masked_head_tail_draw(head_tail, active, ledger, rng)
+        apps = masked_head_tail_draw(law, active, None, ledger, rng)
         done = apps >= 0
         n_unfilled = active.size - int(np.count_nonzero(done))
         if n_unfilled:
@@ -963,40 +807,27 @@ def zipf_amo_event_batches(
             yield EventBatch(done_users[start:stop], done_apps[start:stop])
 
 
-@pure
-def _grouping_dtype(n_clusters: int) -> np.dtype:
-    """Narrowest int dtype holding cluster ids -- NumPy's stable sort on
-    narrow integers is a radix sort, an order of magnitude faster than
-    the int64 merge sort at round sizes."""
-    for candidate in (np.int8, np.int16, np.int32):
-        if n_clusters <= np.iinfo(candidate).max:
-            return np.dtype(candidate)
-    return np.dtype(np.int64)
-
-
 def app_clustering_event_batches(
     n_users: int,
     total_downloads: int,
     p: float,
-    cluster_samplers: Mapping[int, AliasSampler],
-    cluster_members: Mapping[int, np.ndarray],
     cluster_of: np.ndarray,
     rng: np.random.Generator,
-    global_head_tail: HeadTailSampler,
-    cluster_head_tails: Mapping[int, HeadTailSampler],
+    global_law: HeadTailSampler,
+    cluster_laws: HeadTailSampler,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> Iterator[EventBatch]:
     """APP-CLUSTERING downloads as a round-vectorized batch stream.
 
     Round ``k`` processes the ``k``-th download of every user that still
-    has budget, in ascending user order: clustered slots draw per
-    visited cluster (grouped by a radix sort on the chosen cluster),
-    cluster-saturated and non-clustered slots fall back to the global
-    law -- the exact per-user process of Section 5.1.  All draws go
-    through the masked head/tail kernel, so users within a round are
-    unique and commits are direct stores.  Users are independent, so
-    vectorizing across them changes only the interleaving of the event
-    stream, not its statistics.
+    has budget, in ascending user order: clustered slots draw from the
+    law of a visited cluster (``cluster_laws`` holds one law per cluster
+    id), cluster-saturated and non-clustered slots fall back to the
+    global law -- the exact per-user process of Section 5.1.  A round is
+    at most two masked-kernel calls, one clustered and one global, so
+    users within a call are unique and commits are direct stores.  Users
+    are independent, so vectorizing across them changes only the
+    interleaving of the event stream, not its statistics.
     """
     metrics = get_registry()
     batch_counter = metrics.counter("engine.batches")
@@ -1019,13 +850,8 @@ def app_clustering_event_batches(
     if total_downloads % n_users:
         rounds.append(np.flatnonzero(budgets > base))
     can_saturate = _budget_capacity(total_downloads, n_users) >= n_apps
-    group_dtype = _grouping_dtype(n_clusters)
-    ledger.prepare_head(global_head_tail.head)
-    for head_tail in cluster_head_tails.values():  # repro: noqa=RPL020 -- O(n_clusters) one-time registration
-        ledger.prepare_head(head_tail.head)
-    fused = _shared_cluster_structure(
-        cluster_samplers, cluster_members, n_clusters
-    )
+    ledger.prepare_heads(global_law.heads)
+    ledger.prepare_heads(cluster_laws.heads)
 
     for holders in rounds:
         if holders.size == 0:
@@ -1046,40 +872,15 @@ def app_clustering_event_batches(
             rng.random(active.size, dtype=np.float32) < np.float32(p)
         )
         slots = np.flatnonzero(clustered)
-        if slots.size and fused is not None:
-            rank_sampler, tail_members, head_apps = fused
+        if slots.size:
             chosen = visited.choose(active[slots], rng)
-            apps[slots] = masked_head_tail_draw_grouped(
-                rank_sampler,
-                active[slots],
-                chosen,
-                tail_members,
-                head_apps,
-                ledger,
-                rng,
+            apps[slots] = masked_head_tail_draw(
+                cluster_laws, active[slots], chosen, ledger, rng
             )
-        elif slots.size:
-            chosen = visited.choose(active[slots], rng)
-            order = np.argsort(chosen.astype(group_dtype), kind="stable")
-            grouped_slots = slots[order]
-            grouped_users = active[grouped_slots]
-            grouped_clusters = chosen[order]
-            bounds = np.searchsorted(
-                grouped_clusters, np.arange(n_clusters + 1)
-            )
-            occupied = np.flatnonzero(np.diff(bounds) > 0)
-            for cluster in occupied:  # repro: noqa=RPL020 -- grouped dispatch, O(n_clusters) not O(n_events)
-                head_tail = cluster_head_tails.get(int(cluster))
-                if head_tail is None:  # empty cluster: nothing to draw
-                    continue
-                segment = slice(bounds[cluster], bounds[cluster + 1])
-                apps[grouped_slots[segment]] = masked_head_tail_draw(
-                    head_tail, grouped_users[segment], ledger, rng
-                )
         fallback = np.flatnonzero(apps < 0)
         if fallback.size:
             apps[fallback] = masked_head_tail_draw(
-                global_head_tail, active[fallback], ledger, rng
+                global_law, active[fallback], None, ledger, rng
             )
         done = apps >= 0
         n_unfilled = active.size - int(np.count_nonzero(done))

@@ -22,6 +22,12 @@ consumers that need per-event objects (a thin adapter over the batches).
 ``iter_events_legacy`` keeps the original per-event reference
 implementation around -- it is the baseline the statistical-equivalence
 tests and the throughput benchmark compare against.
+
+The two fetch-at-most-once models draw through the engine's one masked
+kernel over :class:`~repro.stats.sampling.HeadTailSampler` stacks: the
+global law is a stack of one, and APP-CLUSTERING's cluster laws are one
+stack with a law per cluster id, so each round of its stream is at most
+one clustered and one global kernel call, equal clusters or not.
 """
 
 from __future__ import annotations
@@ -205,7 +211,7 @@ class ZipfAtMostOnceModel:
         # Built once so block-sharded campaigns that stream many small
         # populations through one model instance skip the per-stream
         # argsort + alias construction.
-        self._head_tail = HeadTailSampler(weights)
+        self._law = HeadTailSampler([weights])
 
     def simulate(
         self, n_users: int, total_downloads: int, seed: SeedLike = None
@@ -225,12 +231,7 @@ class ZipfAtMostOnceModel:
         """The event stream as vectorized chunks."""
         rng = make_rng(seed)
         return zipf_amo_event_batches(
-            self._sampler,
-            n_users,
-            total_downloads,
-            rng,
-            self._head_tail,
-            batch_size=batch_size,
+            self._law, n_users, total_downloads, rng, batch_size=batch_size
         )
 
     def iter_events(
@@ -280,19 +281,34 @@ class AppClusteringModel:
         # empty cluster ids (possible with an explicit ``cluster_of`` map)
         # are skipped cleanly and can never be sampled, because a cluster
         # only becomes "visited" through a download of one of its apps.
+        # The alias samplers serve the per-event reference path.
         self._members: Dict[int, np.ndarray] = {}
         self._cluster_samplers: Dict[int, AliasSampler] = {}
-        self._cluster_head_tails: Dict[int, HeadTailSampler] = {}
         for cluster_index in np.unique(self._clusters):  # repro: noqa=RPL020 -- construction-time, once per cluster
             members = np.flatnonzero(self._clusters == cluster_index)
-            weights = zipf_weights(members.size, params.zc)
             self._members[int(cluster_index)] = members
-            self._cluster_samplers[int(cluster_index)] = AliasSampler(weights)
-            self._cluster_head_tails[int(cluster_index)] = HeadTailSampler(
-                weights, outcomes=members
+            self._cluster_samplers[int(cluster_index)] = AliasSampler(
+                zipf_weights(members.size, params.zc)
             )
-        self._global_head_tail = HeadTailSampler(
-            zipf_weights(params.n_apps, params.zr)
+        # The batched stream draws from one stack: one law per cluster
+        # id (empty for ids without apps) over the samplers' normalized
+        # probabilities -- the float32 byte tables, and so the pinned
+        # streams, depend on the weights' scale.  Equal-size clusters
+        # have equal laws, so the stack shares one byte table and one
+        # alias table among them.
+        no_apps = np.empty(0, dtype=np.int64)
+        cluster_ids = range(int(self._clusters.max()) + 1)
+        self._cluster_laws = HeadTailSampler(
+            [
+                self._cluster_samplers[c].probabilities
+                if c in self._cluster_samplers
+                else no_apps
+                for c in cluster_ids
+            ],
+            [self._members.get(c, no_apps) for c in cluster_ids],
+        )
+        self._global_law = HeadTailSampler(
+            [zipf_weights(params.n_apps, params.zr)]
         )
 
     @property
@@ -336,12 +352,10 @@ class AppClusteringModel:
             params.n_users if n_users is None else n_users,
             params.total_downloads if total_downloads is None else total_downloads,
             params.p,
-            self._cluster_samplers,
-            self._members,
             self._clusters,
             rng,
-            self._global_head_tail,
-            self._cluster_head_tails,
+            self._global_law,
+            self._cluster_laws,
         )
 
     def iter_events(self, seed: SeedLike = None) -> Iterator[DownloadEvent]:

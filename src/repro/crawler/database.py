@@ -119,10 +119,6 @@ class SnapshotColumns:
         return self._chunk.app_ids()
 
     @property
-    def name_tables(self) -> Tuple[str, ...]:
-        return self._store.names.values()
-
-    @property
     def category_names(self) -> Tuple[str, ...]:
         return self._store.categories.values()
 

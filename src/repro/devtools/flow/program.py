@@ -314,10 +314,6 @@ class Program:
                     return info
         return None
 
-    def function_for_node(self, node: ast.AST) -> Optional[FunctionInfo]:
-        """The FunctionInfo indexed for a specific def node, if any."""
-        return self._info_by_node.get(id(node))
-
     # -- call graph ------------------------------------------------------
 
     def callees_of(self, qualname: str) -> Set[str]:

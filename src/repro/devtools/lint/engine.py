@@ -171,15 +171,6 @@ class ModuleInfo:
             yield current
             current = self.parent(current)
 
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> Optional[ast.FunctionDef]:
-        """The innermost function the node sits in, if any."""
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
-
     def enclosing_scope(self, node: ast.AST) -> ast.AST:
         """The innermost binding scope (function, lambda, or module)."""
         for ancestor in self.ancestors(node):

@@ -55,10 +55,10 @@ RNG_HELPER_MODULE_SUFFIXES = ("repro/stats/rng.py",)
 
 #: Where RPL020 holds code to array operations: the batched engine, the
 #: columnar store (data moves as columns, not rows), the modules that
-#: resolve persona segments (one kernel call per segment block, grouped
-#: by :func:`repro.core.engine.partition_by_blocks`), and the store tick
-#: (one kernel call per round and law, one sort per law for a heavy
-#: account's day, never a kernel call per download).
+#: resolve persona segments (one kernel call per segment, selected by one
+#: mask), and the store tick (one clustered and one global kernel call
+#: per round, one sort per law for a heavy account's day, never a kernel
+#: call per download).
 VECTORIZED_MODULE_SCOPES = BATCHED_MODULE_SUFFIXES + (
     "repro/store/",
     "repro/marketplace/segments.py",
@@ -309,7 +309,7 @@ class NdarrayElementLoopRule(Rule):
         "no per-element for-loop over an ndarray in the vectorized "
         "modules (batched engine, repro.store, segment dispatch); use "
         "array operations, .tolist() on a declared compatibility path, "
-        "or one kernel call per partition_by_blocks block"
+        "or one kernel call per group selected by one mask"
     )
 
     _WRAPPERS = frozenset({"zip", "enumerate", "reversed"})

@@ -12,10 +12,11 @@ pipeline must recover:
   that category's internal Zipf law), otherwise from the global Zipf law.
 
 A :class:`DownloadBehavior` holds one user segment's laws -- the global
-law and one law per category -- and serves a *round*: one download for
-each of a set of distinct users, drawn through the engine's masked
-head/tail kernel against a shared :class:`~repro.core.engine.DownloadLedger`
-and :class:`~repro.core.engine.VisitedClusters`.  The store runs a day
+law and a stack of one law per category -- and serves a *round*: one
+download for each of a set of distinct users, drawn through the engine's
+masked head/tail kernel (one clustered call, one global call) against a
+shared :class:`~repro.core.engine.DownloadLedger` and
+:class:`~repro.core.engine.VisitedClusters`.  The store runs a day
 as rounds (round ``k`` serves every user's ``k``-th download of the
 day), so each user still runs the exact chain, one download after the
 other; the few accounts with more downloads in a day than a day has
@@ -70,21 +71,15 @@ class BehaviorParams:
 @dataclass(frozen=True)
 class _Laws:
     """The laws in force while ``n_listed`` apps are listed: each law's
-    apps (listed, positive weight) and its sampler, ``None`` for a law
-    without apps."""
+    apps (listed, positive weight; possibly none), the global law as a
+    stack of one and the category laws as one stack indexed by
+    category."""
 
     n_listed: int
     global_apps: np.ndarray
-    global_law: Optional[HeadTailSampler]
+    global_law: HeadTailSampler
     category_apps: List[np.ndarray]
-    category_laws: List[Optional[HeadTailSampler]]
-
-
-def _law(weights: np.ndarray, apps: np.ndarray) -> Optional[HeadTailSampler]:
-    """The law drawing ``apps`` in proportion to ``weights[apps]``."""
-    if apps.size == 0:
-        return None
-    return HeadTailSampler(weights[apps], outcomes=apps)
+    category_laws: HeadTailSampler
 
 
 class DownloadBehavior:
@@ -235,11 +230,14 @@ class DownloadBehavior:
             self._laws = _Laws(
                 n_listed=n_listed,
                 global_apps=global_apps,
-                global_law=_law(self._global_weights, global_apps),
+                global_law=HeadTailSampler(
+                    [self._global_weights[global_apps]], [global_apps]
+                ),
                 category_apps=category_apps,
-                category_laws=[
-                    _law(self._cluster_weights, apps) for apps in category_apps
-                ],
+                category_laws=HeadTailSampler(
+                    [self._cluster_weights[apps] for apps in category_apps],
+                    category_apps,
+                ),
             )
         return self._laws
 
@@ -261,8 +259,9 @@ class DownloadBehavior:
         has nothing left for the user, and otherwise from the global
         law.  Every draw is renormalized over the listed apps the user
         does not own (:func:`~repro.core.engine.masked_head_tail_draw`),
-        so fetch-at-most-once holds exactly.  Clustered draws dispatch
-        once per occupied category, global ones once per round.
+        so fetch-at-most-once holds exactly.  A round is at most two
+        kernel calls: one for every clustered draw, whatever its
+        category, and one for the global draws.
 
         Accepted downloads are recorded in ``ledger`` and ``visited``.
         Returns the app per user, ``-1`` for users with nothing left to
@@ -270,7 +269,7 @@ class DownloadBehavior:
         """
         laws = self._laws_on(day)
         apps = np.full(users.size, -1, dtype=np.int64)
-        if laws.global_law is None:
+        if laws.global_apps.size == 0:
             return apps
         # Users only ever own listed apps, so owning as many as are
         # listed means owning them all.
@@ -285,24 +284,16 @@ class DownloadBehavior:
             )
         )
         if clustered.size:
+            # A category with nothing left for the user (or no listed
+            # app at all) yields -1: the global law takes over below.
             chosen = visited.choose(active[clustered], rng)
-            order = np.argsort(chosen, kind="stable")
-            grouped = clustered[order]
-            bounds = np.searchsorted(
-                chosen[order], np.arange(self._n_categories + 1)
+            picks[clustered] = masked_head_tail_draw(
+                laws.category_laws, active[clustered], chosen, ledger, rng
             )
-            for category in np.flatnonzero(np.diff(bounds)).tolist():
-                law = laws.category_laws[category]
-                if law is None:  # nothing to browse: global fallback
-                    continue
-                members = grouped[bounds[category] : bounds[category + 1]]
-                picks[members] = masked_head_tail_draw(
-                    law, active[members], ledger, rng
-                )
         fallback = np.flatnonzero(picks < 0)
         if fallback.size:
             picks[fallback] = masked_head_tail_draw(
-                laws.global_law, active[fallback], ledger, rng
+                laws.global_law, active[fallback], None, ledger, rng
             )
         done = picks >= 0
         ledger.add_unique(active[done], picks[done])
@@ -338,7 +329,7 @@ class DownloadBehavior:
         """
         laws = self._laws_on(day)
         apps = np.full(n, -1, dtype=np.int64)
-        if laws.global_law is None:
+        if laws.global_apps.size == 0:
             return apps
         owned = ledger.owned(user)
         clustered = (

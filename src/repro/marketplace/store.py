@@ -245,10 +245,6 @@ class AppStore:
         """
         return self._downloads_by_segment.copy()
 
-    def segment_of_users(self) -> np.ndarray:
-        """Segment index of every user (zeros when unsegmented; a copy)."""
-        return self._segment_of_user.copy()
-
     def total_downloads(self) -> int:
         """Cumulative downloads across all apps."""
         return int(self._downloads.sum())

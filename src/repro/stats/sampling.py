@@ -10,6 +10,7 @@ in O(1) with exactly two random numbers.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -96,10 +97,6 @@ class AliasSampler:
             raise ValueError("weights must have a positive sum")
 
         self._prob, self._alias = _build_alias_table(weights, total)
-        # float32 copy for the batched accept test: one compare against a
-        # [0, 1) threshold needs no double precision, and float32 coins
-        # are cheaper to generate and compare at batch sizes.
-        self._prob32 = self._prob.astype(np.float32)
         self._weights = weights / total
 
     @property
@@ -125,21 +122,6 @@ class AliasSampler:
         take_alias = coins >= self._prob[columns]
         return np.where(take_alias, self._alias[columns], columns)
 
-    def sample_fast(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` outcome indices with float32 accept coins.
-
-        Statistically equivalent to :meth:`sample` (the accept test is a
-        single threshold compare, which needs no double precision) but
-        roughly twice as cheap to generate and compare at batch sizes.
-        The coin dtype changes generator consumption, so this produces a
-        *different* -- equally valid -- stream than :meth:`sample`; the
-        rejection-free download kernels use it, while :meth:`sample`
-        keeps the historical stream for existing callers.
-        """
-        columns = rng.integers(0, self.n_outcomes, size=size)
-        take_alias = rng.random(size, dtype=np.float32) >= self._prob32[columns]
-        return np.where(take_alias, self._alias[columns], columns)
-
     def sample_one(self, rng: np.random.Generator) -> int:
         """Draw a single outcome index using an existing generator."""
         column = int(rng.integers(0, self.n_outcomes))
@@ -148,133 +130,156 @@ class AliasSampler:
         return int(self._alias[column])
 
 
-#: Default head width of a :class:`HeadTailSampler`.  Eight slots keep a
-#: user's head-ownership bits inside a single ledger byte, and for the
-#: paper's Zipf exponents the top eight outcomes already carry most of
+
+
+#: Head width of every law in a :class:`HeadTailSampler`.  Eight slots
+#: keep a user's head-ownership bits inside a single ledger byte, and for
+#: the paper's Zipf exponents the top eight outcomes already carry most of
 #: the mass (85% at ``zr = 1.7``), so masked redraws in the tail are rare.
-DEFAULT_HEAD_SIZE = 8
+HEAD_SIZE = 8
+
+#: ``_OPEN[b, j]``: head slot ``j`` is still open under ownership byte ``b``.
+_OPEN = ((np.arange(256)[:, None] >> np.arange(HEAD_SIZE)[None, :]) & 1) == 0
 
 
 class HeadTailSampler:
-    """A categorical split into an explicit top-``K`` head and an alias tail.
+    """A stack of categorical laws, each split into a head and an alias tail.
 
-    The fetch-at-most-once kernels renormalize a distribution against a
-    user's download ledger.  Doing that exactly over all ``n`` outcomes
-    is O(n) per draw; doing it by rejection alone degenerates on the
-    heavy head of a Zipf law, where a user quickly owns the most likely
-    outcomes and nearly every redraw repeats one of them.  Splitting the
-    distribution solves both ends:
+    The fetch-at-most-once kernel renormalizes a law against a user's
+    download ledger.  Doing that exactly over all ``n`` outcomes is O(n)
+    per draw; doing it by rejection alone degenerates on the heavy head
+    of a Zipf law, where a user quickly owns the most likely outcomes
+    and nearly every redraw repeats one of them.  Splitting each law
+    solves both ends:
 
-    - the **head** -- the ``K`` largest-weight outcomes -- is small enough
-      to mask and renormalize exactly against per-user ownership bits;
-    - the **tail** -- everything else -- is drawn from a dedicated
-      :class:`AliasSampler` and thinned against the ledger, which is a
-      near-certain accept because a user rarely owns much tail mass.
+    - the **head** -- the law's :data:`HEAD_SIZE` largest-weight outcomes
+      -- is small enough to mask and renormalize exactly against
+      per-user ownership bits;
+    - the **tail** -- everything else -- is drawn from an alias table and
+      thinned against the ledger, which is a near-certain accept because
+      a user rarely owns much tail mass.
 
-    Weights need not be normalized; ``head_weights`` and ``tail_weight``
-    share the input scale so mixture arithmetic can use them directly.
-    ``outcomes`` optionally maps local outcome indices to external ids
-    (e.g. cluster-member positions to global app indices); ``head`` and
-    tail draws are then expressed in the external id space.
+    One stack holds every law a kernel call may draw from: the global
+    law is a stack of one, a model's or a store's clustered laws are one
+    stack, so a round needs one call whatever law each user draws.  It
+    holds:
+
+    - ``heads`` -- an ``(L, 8)`` matrix of head outcomes, ``-1`` past the
+      last outcome of a law with fewer than eight;
+    - ``cum_table`` / ``avail_table`` -- the masked head cumulative
+      weights for all 256 ownership bytes, 256 rows per table, one table
+      per law (padded slots have zero width, so their bits never
+      matter);
+    - the tail alias tables, concatenated with per-table offsets, and
+      each law's tail outcomes in alias-table order.
+
+    Laws with equal weights (the paper's equal-size clusters) share one
+    byte table and one alias table, with per-law head and tail-outcome
+    rows; ``shared`` says so.  Sharing is a layout, not a stream: the
+    shared tables hold exactly the rows each law would have, so the
+    kernel draws the same values either way, just with an ownership
+    byte as the row and one scalar bound for the tail column.
+
+    Weights need not be normalized; head and tail masses share the input
+    scale.  A law may be empty (a category with no listed app) or have no
+    tail mass.  ``outcomes[l]`` maps law ``l``'s positions to external
+    ids (cluster members to global app indices, say); by default they
+    are the positions themselves.
     """
 
     def __init__(
-        self,
-        weights,
-        head_size: int = DEFAULT_HEAD_SIZE,
-        outcomes=None,
+        self, weights: Sequence, outcomes: Optional[Sequence] = None
     ) -> None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("weights must be a non-empty 1-D array")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite and non-negative")
-        if head_size < 1:
-            raise ValueError("head_size must be >= 1")
+        laws = [np.asarray(law, dtype=np.float64) for law in weights]
+        if not laws:
+            raise ValueError("a stack needs at least one law")
         if outcomes is None:
-            outcomes = np.arange(weights.size, dtype=np.int64)
+            outcomes = [np.arange(law.size, dtype=np.int64) for law in laws]
         else:
-            outcomes = np.asarray(outcomes, dtype=np.int64)
-            if outcomes.shape != weights.shape:
+            outcomes = [np.asarray(ids, dtype=np.int64) for ids in outcomes]
+            if len(outcomes) != len(laws) or any(
+                ids.shape != law.shape for ids, law in zip(outcomes, laws)
+            ):
                 raise ValueError("outcomes must align with weights")
-        order = np.argsort(-weights, kind="stable")
-        k = min(head_size, weights.size)
-        self.head = outcomes[order[:k]]
-        self.head_weights = weights[order[:k]]
-        tail_order = order[k:]
-        self._tail_outcomes = outcomes[tail_order]
-        tail_weights = weights[tail_order]
-        self.tail_weight = float(tail_weights.sum())
-        self._tail_sampler = (
-            AliasSampler(tail_weights) if self.tail_weight > 0 else None
-        )
-        self._byte_tables = None
+        for law in laws:
+            if law.ndim != 1:
+                raise ValueError("each law's weights must be 1-D")
+            if np.any(law < 0) or not np.all(np.isfinite(law)):
+                raise ValueError("weights must be finite and non-negative")
+        #: Number of outcomes of each law.
+        self.sizes = np.array([law.size for law in laws], dtype=np.int64)
+        self.shared = all(np.array_equal(law, laws[0]) for law in laws[1:])
+        tables = laws[:1] if self.shared else laws
+        orders = [np.argsort(-law, kind="stable") for law in tables]
 
-    @property
-    def head_size(self) -> int:
-        """Number of outcomes in the head."""
-        return self.head.size
+        cums, masses, probs, aliases = [], [], [], []
+        for law, order in zip(tables, orders):
+            head_weights = np.zeros(HEAD_SIZE, dtype=np.float32)
+            k = min(HEAD_SIZE, law.size)
+            head_weights[:k] = law[order[:k]]
+            # float32 throughout: the handful of O(1)-magnitude partial
+            # sums are far inside float32's exact range, and a table's
+            # 256 rows stay in L1.
+            cums.append(
+                np.cumsum(
+                    _OPEN * head_weights[None, :], axis=1, dtype=np.float32
+                )
+            )
+            tail_weights = law[order[k:]]
+            mass = float(tail_weights.sum())
+            masses.append(mass)
+            if mass > 0:
+                prob, alias = _build_alias_table(tail_weights, mass)
+            else:
+                prob, alias = np.empty(0), np.empty(0, dtype=np.int64)
+            probs.append(prob.astype(np.float32))
+            aliases.append(alias)
+        self.cum_table = np.ascontiguousarray(np.concatenate(cums))
+        self.avail_table = np.ascontiguousarray(self.cum_table[:, -1])
+        #: Tail mass of each table, in the input scale.
+        self.tail_mass = np.array(masses, dtype=np.float32)
+        self.has_tail = np.array(masses) > 0
+        self._tail_sizes = np.array([p.size for p in probs], dtype=np.int64)
+        self._table_starts = np.cumsum(self._tail_sizes) - self._tail_sizes
+        self._prob32 = np.concatenate(probs)
+        self._alias = np.concatenate(aliases)
 
-    @property
-    def has_tail(self) -> bool:
-        """Whether any positive mass sits outside the head."""
-        return self._tail_sampler is not None
+        self.heads = np.full((len(laws), HEAD_SIZE), -1, dtype=np.int64)
+        tail_outcomes = []
+        for index, ids in enumerate(outcomes):
+            table = 0 if self.shared else index
+            order = orders[table]
+            head = ids[order[:HEAD_SIZE]]
+            self.heads[index, : head.size] = head
+            tail = order[HEAD_SIZE:] if self.has_tail[table] else order[:0]
+            tail_outcomes.append(ids[tail])
+        # int32: tail draws only feed gathers and ledger compares.
+        self._tail_outcomes = np.concatenate(tail_outcomes).astype(np.int32)
+        sizes = np.array([ids.size for ids in tail_outcomes], dtype=np.int64)
+        self._law_starts = np.cumsum(sizes) - sizes
 
-    def sample_tail(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` tail outcomes (external ids, unthinned)."""
-        if self._tail_sampler is None:
-            raise ValueError("distribution has no tail mass to sample")
-        return self._tail_outcomes[self._tail_sampler.sample_fast(size, rng)]
-
-    @property
-    def tail_outcomes(self) -> np.ndarray:
-        """External ids of tail outcomes, in alias-table order (a view).
-
-        ``sample_tail(size, rng)`` equals
-        ``tail_outcomes[sample_tail_indices(size, rng)]``; callers that
-        pre-compose this mapping with their own tables (the fused
-        clustered kernel) skip a gather per draw.
-        """
-        return self._tail_outcomes
-
-    def sample_tail_indices(
-        self, size: int, rng: np.random.Generator
+    def sample_tail(
+        self,
+        law_ids: Optional[np.ndarray],
+        size: int,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        """Draw ``size`` positions into :attr:`tail_outcomes`."""
-        if self._tail_sampler is None:
-            raise ValueError("distribution has no tail mass to sample")
-        return self._tail_sampler.sample_fast(size, rng)
+        """Draw ``size`` tail outcomes (external ids, ``int32``, unthinned).
 
-    def head_byte_tables(self):
-        """Masked-head cumulative tables indexed by ownership byte.
-
-        With ``k <= 8`` head slots, a user's head ownership packs into
-        one byte, and the masked cumulative weights depend on nothing
-        else -- so all ``2**k`` renormalizations can be precomputed.
-        Returns ``(cums, avail)`` where ``cums[b, j]`` is the cumulative
-        masked head weight through slot ``j`` for ownership byte ``b``
-        and ``avail[b] = cums[b, -1]`` is the surviving head mass.  The
-        masked-draw kernels turn their per-user O(k) renormalization
-        loop into two table gathers.  float32 throughout: the handful of
-        O(1)-magnitude partial sums are far inside float32's exact
-        range, and the tables' 256-row working set stays in L1.
+        Slot ``i`` draws from law ``law_ids[i]``'s tail, or from law 0's
+        when ``law_ids`` is ``None``; every law drawn must have a tail.
+        A table shared by every slot draws its columns with one scalar
+        bound, and the accept coins are float32: a single threshold
+        compare needs no double precision.
         """
-        if self._byte_tables is None:
-            k = self.head.size
-            if k > 8:
-                raise ValueError("byte tables require head_size <= 8")
-            codes = np.arange(1 << k, dtype=np.uint16)
-            open_ = ((codes[:, None] >> np.arange(k)[None, :]) & 1) == 0
-            weights = self.head_weights.astype(np.float32)
-            cums = np.cumsum(
-                open_ * weights[None, :], axis=1, dtype=np.float32
-            )
-            if k < 8:
-                # Bits >= k never appear in ledger masks, but padding to
-                # 256 rows keeps the gather unconditional.
-                cums = np.vstack([cums] * (1 << (8 - k)))
-            self._byte_tables = (
-                np.ascontiguousarray(cums),
-                np.ascontiguousarray(cums[:, -1]),
-            )
-        return self._byte_tables
+        if law_ids is None or self.shared:
+            columns = rng.integers(0, self._tail_sizes[0], size=size)
+            cells = columns
+        else:
+            columns = rng.integers(0, self._tail_sizes[law_ids])
+            cells = columns + self._table_starts[law_ids]
+        take_alias = rng.random(size, dtype=np.float32) >= self._prob32[cells]
+        ranks = np.where(take_alias, self._alias[cells], columns)
+        if law_ids is None:
+            return self._tail_outcomes[ranks]
+        return self._tail_outcomes[self._law_starts[law_ids] + ranks]

@@ -286,10 +286,6 @@ class ColumnarStore:
         present.update(day for (s, day) in self._buffers if s == store)
         return sorted(present)
 
-    def has_chunk(self, store: str, day: int) -> bool:
-        """Whether any snapshot rows exist for (store, day)."""
-        return (store, day) in self._chunks or (store, day) in self._buffers
-
     def chunk(self, store: str, day: int) -> Optional[SnapshotChunk]:
         """The sealed chunk of (store, day), sealing buffers on demand."""
         if (store, day) in self._buffers:

@@ -3,28 +3,31 @@
 Two families of guarantees:
 
 - **exact invariants** -- fetch-at-most-once, budget ceilings, index
-  ranges, bit-identical output across the two ledger backends, and
-  pinned stream hashes;
+  ranges, bit-identical output across the two ledger backends, pinned
+  stream hashes, and the masked kernel called directly: against the
+  enumerated renormalized law of every user and against copies of the
+  single-law and grouped kernels it replaced;
 - **statistical equivalence** -- the batched streams reproduce the same
   per-app download distributions as the legacy per-event reference
   implementations (total-variation distance at sampling-noise level).
 """
 
+import copy
 import hashlib
 
 import numpy as np
 import pytest
 
 import repro.core.engine as engine
+import repro.marketplace.behavior as behavior_module
 from repro.core.engine import (
     DownloadEvent,
     DownloadLedger,
     EventBatch,
     VisitedClusters,
-    _shared_cluster_structure,
     counts_from_batches,
     interleaved_user_order,
-    partition_by_blocks,
+    masked_head_tail_draw,
     per_user_budgets,
     sample_new_apps,
 )
@@ -38,6 +41,11 @@ from repro.core.models import (
     ZipfAtMostOnceModel,
     ZipfModel,
 )
+from repro.marketplace.behavior import BehaviorParams, DownloadBehavior
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.stats.rng import make_rng
+from repro.stats.sampling import AliasSampler, HeadTailSampler
+from repro.stats.zipf import zipf_weights
 
 
 class TestEventBatch:
@@ -86,6 +94,14 @@ def _ledger(monkeypatch, backend, n_users, n_apps, capacity):
 
 
 BACKENDS = ("packed", "compact")
+
+
+def _heads(*lists):
+    """A stack's ``(L, 8)`` head matrix, ``-1`` past each list's end."""
+    heads = np.full((len(lists), 8), -1, dtype=np.int64)
+    for law, apps in enumerate(lists):
+        heads[law, : len(apps)] = apps
+    return heads
 
 
 class TestDownloadLedger:
@@ -193,14 +209,12 @@ class TestDownloadLedger:
         rng = np.random.default_rng(12)
         owned = [set() for _ in range(n_users)]
         everyone = np.arange(n_users, dtype=np.int64)
-        head = np.array([3, 0, 7, 1, 2], dtype=np.int64)
+        head = _heads([3, 0, 7, 1, 2])
         # App 3 also sits in the global head: two heads per app is legal.
-        group_heads = np.array(
-            [[2, 5, 9], [11, 4, 6], [3, 8, 10]], dtype=np.int64
-        )
+        group_heads = _heads([2, 5, 9], [11, 4, 6], [3, 8, 10])
         groups = everyone % 3
         for ledger in ledgers:  # early registration, on an empty ledger
-            ledger.head_bytes(everyone, head)
+            ledger.head_bytes(everyone, head, None)
 
         def fresh_pairs(n_pairs, unique_users):
             users, apps = [], []
@@ -234,7 +248,7 @@ class TestDownloadLedger:
             )
             expected_bytes = np.array(
                 [
-                    sum(1 << j for j, a in enumerate(head) if a in owned[u])
+                    sum(1 << j for j, a in enumerate(head[0]) if a in owned[u])
                     for u in everyone
                 ],
                 dtype=np.uint8,
@@ -257,16 +271,16 @@ class TestDownloadLedger:
                     np.array([len(o) >= n_apps for o in owned]),
                 )
                 assert np.array_equal(
-                    ledger.head_bytes(everyone, head), expected_bytes
+                    ledger.head_bytes(everyone, head, None), expected_bytes
                 )
             if step >= 2:
                 # Late registration (from step 2 on, after adds): the
                 # compact backend rebuilds the rows from its owned matrix.
-                late = np.array([12, 13, 15], dtype=np.int64)
+                late = _heads([12, 13, 15])
                 answers = [
                     (
-                        ledger.head_bytes(everyone, late),
-                        ledger.head_bytes_grouped(everyone, group_heads, groups),
+                        ledger.head_bytes(everyone, late, None),
+                        ledger.head_bytes(everyone, group_heads, groups),
                     )
                     for ledger in ledgers
                 ]
@@ -297,44 +311,6 @@ class TestBudgetsAndOrder:
         budgets = per_user_budgets(50, 7, rng)
         order = interleaved_user_order(budgets, rng)
         assert np.array_equal(np.bincount(order, minlength=7), budgets)
-
-
-class TestPartitionByBlocks:
-    def test_groups_and_starts(self):
-        values = np.array([7, 1, 9, 3, 5, 0])
-        bounds = np.array([0, 4, 8, 10])
-        block_ids, order, starts = partition_by_blocks(values, bounds)
-        assert block_ids.tolist() == [1, 0, 2, 0, 1, 0]
-        grouped = values[order]
-        assert grouped[starts[0] : starts[1]].tolist() == [1, 3, 0]
-        assert grouped[starts[1] : starts[2]].tolist() == [7, 5]
-        assert grouped[starts[2] : starts[3]].tolist() == [9]
-
-    def test_stable_within_block(self):
-        """Relative input order survives inside each block (stable sort)."""
-        values = np.array([2, 9, 1, 8, 0, 9])
-        bounds = np.array([0, 5, 10])
-        _, order, starts = partition_by_blocks(values, bounds)
-        assert values[order[starts[0] : starts[1]]].tolist() == [2, 1, 0]
-        assert values[order[starts[1] : starts[2]]].tolist() == [9, 8, 9]
-
-    def test_empty_values(self):
-        block_ids, order, starts = partition_by_blocks(
-            np.empty(0, dtype=np.int64), np.array([0, 5, 10])
-        )
-        assert block_ids.size == 0
-        assert order.size == 0
-        assert starts.tolist() == [0, 0, 0]
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            partition_by_blocks(np.array([10]), np.array([0, 5, 10]))
-        with pytest.raises(ValueError):
-            partition_by_blocks(np.array([-1]), np.array([0, 5, 10]))
-
-    def test_degenerate_boundaries_rejected(self):
-        with pytest.raises(ValueError):
-            partition_by_blocks(np.array([0]), np.array([0]))
 
 
 class TestSampleNewApps:
@@ -429,6 +405,52 @@ def _clustering_model(n_apps=400, n_users=200, total_downloads=8000, **overrides
     )
     defaults.update(overrides)
     return AppClusteringModel(AppClusteringParams(**defaults))
+
+
+def _stack_fixture():
+    """Five unequal laws over 50 apps: a Zipf law with a tail, a law of
+    five apps, a law of eleven whose three lightest weigh nothing (a
+    full head and no tail), a law without apps, and a flatter law with a
+    tail.  Returns the stack and its ``(laws, apps)`` weight matrix."""
+    spans = [range(0, 20), range(20, 25), range(25, 36), range(0), range(36, 50)]
+    laws = [
+        zipf_weights(20, 1.2),
+        np.array([5.0, 1.0, 3.0, 0.5, 2.0]),
+        np.concatenate((zipf_weights(8, 0.8), np.zeros(3))),
+        np.empty(0),
+        zipf_weights(14, 0.6)[::-1],
+    ]
+    matrix = np.zeros((len(laws), 50))
+    for law, (span, weights) in enumerate(zip(spans, laws)):
+        matrix[law, list(span)] = weights
+    outcomes = [np.array(span, dtype=np.int64) for span in spans]
+    return HeadTailSampler(laws, outcomes), matrix
+
+
+def _stack_population(matrix, n_users, rng):
+    """Each user's law and a ledger of prior downloads: every app of the
+    user's law is owned with probability 0.3, so every head byte and
+    tail rejections occur, and some users of the small laws own all."""
+    law_ids = rng.integers(0, matrix.shape[0], size=n_users)
+    owned = (matrix[law_ids] > 0) & (rng.random((n_users, matrix.shape[1])) < 0.3)
+    ledger = DownloadLedger(n_users, matrix.shape[1], matrix.shape[1])
+    ledger.add(*np.nonzero(owned))
+    return law_ids, owned, ledger
+
+
+def _stack_rounds():
+    """Four rounds of the unequal stack over 600 users."""
+    stack, matrix = _stack_fixture()
+    rng = np.random.default_rng(9)
+    law_ids, _, ledger = _stack_population(matrix, 600, rng)
+    users = np.arange(600, dtype=np.int64)
+    batches = []
+    for _ in range(4):
+        apps = masked_head_tail_draw(stack, users, law_ids, ledger, rng)
+        got = apps >= 0
+        ledger.add_unique(users[got], apps[got])
+        batches.append(EventBatch(users[got], apps[got]))
+    return EventBatch.concatenate(batches)
 
 
 class TestStatisticalEquivalence:
@@ -554,13 +576,18 @@ class TestBatchedInvariants:
         assert per_user.max() <= 1600 // 40 + 1
 
     @pytest.mark.parametrize(
-        "model_name", ["amo", "clustering", "clustering-unequal", "feedback"]
+        "model_name",
+        ["amo", "clustering", "clustering-unequal", "feedback", "stack"],
     )
     def test_ledger_modes_bit_identical(self, monkeypatch, model_name):
         """The backends consume no randomness: packed and compact streams
-        match exactly, each forced whatever the shape would pick."""
+        match exactly, each forced whatever the shape would pick.
+        ``stack`` drives the kernel directly on unequal laws, late head
+        registration included."""
 
         def stream():
+            if model_name == "stack":
+                return _stack_rounds()
             if model_name == "amo":
                 model = ZipfAtMostOnceModel(90, zr=1.6)
                 batches = model.iter_batches(30, 600, seed=9)
@@ -579,14 +606,9 @@ class TestBatchedInvariants:
                     total_downloads=600,
                     cluster_of=cluster_of,
                 )
-                # Equal clusters take the fused kernel, unequal ones the
-                # per-cluster path.
-                fused = _shared_cluster_structure(
-                    model._cluster_samplers,
-                    model._members,
-                    int(model._clusters.max()) + 1,
-                )
-                assert (fused is None) == (cluster_of is not None)
+                # Equal clusters share one byte table and alias table,
+                # unequal ones keep a table per law.
+                assert model._cluster_laws.shared == (cluster_of is None)
                 batches = model.iter_batches(seed=9)
             return EventBatch.concatenate(list(batches))
 
@@ -606,6 +628,221 @@ class TestBatchedInvariants:
         assert [e.app_index for e in events] == apps.tolist()
 
 
+def _parent_tables(weights):
+    """The tables of one law as the per-law sampler the stack replaced
+    built them: head positions, ``(256, k)`` byte tables whose rows
+    repeat past ``2**k``, tail positions in alias order, the tail mass
+    and the tail's alias sampler."""
+    order = np.argsort(-weights, kind="stable")
+    k = min(8, weights.size)
+    codes = np.arange(1 << k, dtype=np.uint16)
+    open_ = ((codes[:, None] >> np.arange(k)[None, :]) & 1) == 0
+    head_weights = weights[order[:k]].astype(np.float32)
+    cums = np.cumsum(open_ * head_weights[None, :], axis=1, dtype=np.float32)
+    if k < 8:
+        cums = np.vstack([cums] * (1 << (8 - k)))
+    tail = order[k:]
+    tail_weight = float(weights[tail].sum())
+    sampler = AliasSampler(weights[tail]) if tail_weight > 0 else None
+    return order[:k], cums, cums[:, -1].copy(), tail, tail_weight, sampler
+
+
+def _parent_sample_fast(sampler, size, rng):
+    """The alias draw with float32 accept coins the tails used."""
+    columns = rng.integers(0, sampler.n_outcomes, size=size)
+    prob32 = sampler._prob.astype(np.float32)
+    take_alias = rng.random(size, dtype=np.float32) >= prob32[columns]
+    return np.where(take_alias, sampler._alias[columns], columns)
+
+
+def _parent_masked_draw(weights, users, owned, rng):
+    """Copy of the single-law kernel (outcomes are positions); ownership
+    comes from a bool matrix instead of a ledger."""
+    head, cum_table, avail_table, tail, tail_weight, sampler = _parent_tables(
+        weights
+    )
+    apps = np.full(users.size, -1, dtype=np.int64)
+    chunk = np.packbits(owned[users[:, None], head], axis=1, bitorder="little")[:, 0]
+    head_avail = avail_table[chunk]
+    total = head_avail + np.float32(tail_weight)
+    if sampler is not None:
+        pending = np.arange(users.size, dtype=np.int64)
+    else:
+        pending = np.flatnonzero(total > 0)
+    for _ in range(engine.MAX_DRAW_ATTEMPTS):
+        if pending.size == 0:
+            break
+        r = rng.random(pending.size, dtype=np.float32) * total[pending]
+        in_head = r < head_avail[pending]
+        head_rows = pending[in_head]
+        picks = (cum_table[chunk[head_rows]] <= r[in_head, None]).sum(axis=1)
+        apps[head_rows] = head[picks]
+        tail_rows = pending[~in_head]
+        if sampler is None or tail_rows.size == 0:
+            pending = tail_rows
+            continue
+        draws = tail[_parent_sample_fast(sampler, tail_rows.size, rng)]
+        fresh = ~owned[users[tail_rows], draws]
+        apps[tail_rows[fresh]] = draws[fresh]
+        pending = tail_rows[~fresh]
+    return apps
+
+
+def _parent_masked_draw_grouped(weights, members, users, groups, owned, rng):
+    """Copy of the grouped kernel: group ``g`` draws ``weights`` over
+    ``members[g]``, every group through one shared rank-space law."""
+    head, cum_table, avail_table, tail, tail_weight, sampler = _parent_tables(
+        weights
+    )
+    head_apps, tail_members = members[:, head], members[:, tail]
+    apps = np.full(users.size, -1, dtype=np.int64)
+    chunk = np.packbits(
+        owned[users[:, None], head_apps[groups]], axis=1, bitorder="little"
+    )[:, 0]
+    head_avail = avail_table[chunk]
+    total = head_avail + np.float32(tail_weight)
+    pending = np.arange(users.size, dtype=np.int64)
+    for _ in range(engine.MAX_DRAW_ATTEMPTS):
+        if pending.size == 0:
+            break
+        r = rng.random(pending.size, dtype=np.float32) * total[pending]
+        in_head = r < head_avail[pending]
+        head_rows = pending[in_head]
+        picks = (cum_table[chunk[head_rows]] <= r[in_head, None]).sum(axis=1)
+        apps[head_rows] = head_apps[groups[head_rows], picks]
+        tail_rows = pending[~in_head]
+        if tail_rows.size == 0:
+            pending = tail_rows
+            continue
+        ranks = _parent_sample_fast(sampler, tail_rows.size, rng)
+        draws = tail_members[groups[tail_rows], ranks]
+        fresh = ~owned[users[tail_rows], draws]
+        apps[tail_rows[fresh]] = draws[fresh]
+        pending = tail_rows[~fresh]
+    return apps
+
+
+class TestMaskedKernel:
+    """The one masked draw kernel, called directly."""
+
+    def test_unequal_stack_draws_the_renormalized_law(self):
+        """Per user, the draw is the user's law renormalized over the
+        apps it does not own: ``-1`` exactly when nothing is left, never
+        an owned, foreign or weightless app, and each law's pooled draws
+        within sampling noise of the enumerated laws, round after round
+        (24,000 users, three rounds)."""
+        stack, matrix = _stack_fixture()
+        assert not stack.shared and not stack.has_tail.all()
+        n_users = 24_000
+        rng = np.random.default_rng(41)
+        law_ids, owned, ledger = _stack_population(matrix, n_users, rng)
+        users = np.arange(n_users, dtype=np.int64)
+        drawn = np.zeros_like(matrix)
+        expected = np.zeros_like(matrix)
+        for _ in range(3):
+            open_weights = matrix[law_ids] * ~owned
+            mass = open_weights.sum(axis=1)
+            apps = masked_head_tail_draw(stack, users, law_ids, ledger, rng)
+            assert np.array_equal(apps < 0, mass == 0)
+            got = np.flatnonzero(apps >= 0)
+            assert (open_weights[got, apps[got]] > 0).all()
+            np.add.at(drawn, (law_ids[got], apps[got]), 1)
+            np.add.at(expected, law_ids[got], open_weights[got] / mass[got, None])
+            ledger.add_unique(got, apps[got])
+            owned[got, apps[got]] = True
+        # Seeds 0-39 measure at most 0.020 on any law.
+        for law in (0, 1, 2, 4):
+            assert _tv_distance(drawn[law], expected[law]) < 0.03, law
+        assert drawn[3].sum() == 0 and (law_ids == 3).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("law", ["zipf", "no-tail", "equal-laws"])
+    def test_matches_the_single_law_and_grouped_kernels(self, law, seed):
+        """One law, and laws of equal weights, draw byte for byte what the
+        single-law and the grouped kernel the stack replaced drew, and
+        leave the generator in the same state."""
+        rng = make_rng(seed)
+        n_users = 3_000
+        if law == "equal-laws":
+            # Twelve equal clusters of 25 apps, dealt round-robin, over
+            # normalized weights as the clustering model holds them.
+            members = np.arange(300).reshape(25, 12).T.copy()
+            weights = zipf_weights(25, 1.4)
+            weights = weights / weights.sum()
+            stack = HeadTailSampler([weights] * 12, list(members))
+            assert stack.shared
+            law_ids = rng.integers(0, 12, size=n_users).astype(np.int16)
+        else:
+            size = 300 if law == "zipf" else 6
+            weights = zipf_weights(size, 1.6)
+            stack = HeadTailSampler([weights])
+            law_ids = None
+        n_apps = stack.sizes.sum()
+        # Prior downloads of 40% of the apps mask the heads and make
+        # tail picks get rejected and redrawn.
+        owned = rng.random((n_users, n_apps)) < 0.4
+        ledger = DownloadLedger(n_users, n_apps, n_apps)
+        ledger.add(*np.nonzero(owned))
+        users = np.arange(n_users, dtype=np.int64)
+        reference_rng = copy.deepcopy(rng)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            ours = masked_head_tail_draw(stack, users, law_ids, ledger, rng)
+        if law_ids is None:
+            theirs = _parent_masked_draw(weights, users, owned, reference_rng)
+        else:
+            theirs = _parent_masked_draw_grouped(
+                weights, members, users, law_ids, owned, reference_rng
+            )
+        assert np.array_equal(ours, theirs)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        redraws = registry.snapshot()["counters"].get("engine.tail_redraws", 0)
+        assert (redraws > 0) == (law != "no-tail")
+
+    def test_a_round_is_one_clustered_and_one_global_call(self, monkeypatch):
+        """The model stream and the store's round draw each round with at
+        most one clustered kernel call and one global call, however many
+        clusters the round's users chose."""
+        kernel = engine.masked_head_tail_draw
+        calls = []
+
+        def counting(laws, users, law_ids, ledger, rng):
+            calls.append(None if law_ids is None else np.unique(law_ids).size)
+            return kernel(laws, users, law_ids, ledger, rng)
+
+        def check(round_calls):
+            clustered = [n for n in round_calls if n is not None]
+            assert len(clustered) <= 1
+            assert len(round_calls) - len(clustered) <= 1
+            return clustered[0] if clustered else 0
+
+        monkeypatch.setattr(engine, "masked_head_tail_draw", counting)
+        monkeypatch.setattr(behavior_module, "masked_head_tail_draw", counting)
+
+        # Unequal clusters: 301 apps in 20 clusters, five rounds.
+        model = _clustering_model(n_apps=301, n_users=400, total_downloads=2_000)
+        assert not model._cluster_laws.shared
+        widest, seen = 0, 0
+        for _ in model.iter_batches(seed=3):
+            widest = max(widest, check(calls[seen:]))
+            seen = len(calls)
+        assert seen >= 5 and widest >= 10
+
+        behavior = DownloadBehavior(
+            app_categories=np.arange(120) % 12, params=BehaviorParams()
+        )
+        ledger = DownloadLedger(500, 120, 120)
+        visited = VisitedClusters(500, 12, 120)
+        users = np.arange(500, dtype=np.int64)
+        rng = np.random.default_rng(4)
+        widest = 0
+        for _ in range(6):
+            calls.clear()
+            behavior.next_downloads(users, 0, ledger, visited, rng)
+            widest = max(widest, check(calls))
+        assert widest >= 10
+
+
 class TestStreamPins:
     """sha256 of ``simulate()`` counts at one small shape per model.
 
@@ -620,7 +857,7 @@ class TestStreamPins:
         "zipf": "6d6167f4125eb18bbdab1dab84ea7a188393d1a7fa489b6af79496ad38561b19",
         "amo": "1b383c7df56f68f1c445e766bf65d37a75b420a5f8cb3f6805bbb1813611061c",
         "clustering": "d02872138f6108bfd2853277232b53faf87858ab3e640813cd44d08e670759c8",
-        "clustering-unequal": "bbd8657711a2be548f9ea334c7273f50544fb155429abdc7fbeef86c1e661918",
+        "clustering-unequal": "7b3f059cef201932121a2c127e5b3eb6301bb7372bdfaf1d93ef5eb883a992a4",
         "feedback": "d2ae1e1353bdc01c519bb9b8977178e44aff5e5414c27d9f20589652fbfd2030",
     }
 
@@ -666,8 +903,6 @@ class TestEventsUnfilledMetric:
     """Dropped download slots must be counted, never silently skipped."""
 
     def test_saturation_counts_unfilled_events(self):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-
         # 4 users owe 10 downloads each but the store only has 3 apps:
         # each user saturates after 3 events, so 40 - 12 slots go unfilled.
         registry = MetricsRegistry()
@@ -681,8 +916,6 @@ class TestEventsUnfilledMetric:
         assert counters["engine.events_unfilled"] == 40 - 12
 
     def test_clustering_counts_unfilled_events(self):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-
         registry = MetricsRegistry()
         with use_registry(registry):
             model = _clustering_model(
@@ -696,8 +929,6 @@ class TestEventsUnfilledMetric:
         assert counters["engine.events_unfilled"] == 30 - 15
 
     def test_full_run_reports_zero_unfilled(self):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-
         registry = MetricsRegistry()
         with use_registry(registry):
             model = ZipfAtMostOnceModel(200, zr=1.5)

@@ -431,8 +431,9 @@ FIXTURES: Tuple[RuleFixture, ...] = (
         code="RPL020",
         folded_from="RPL023",
         # Walking a user array one element at a time defeats the
-        # one-kernel-per-segment dispatch; partition_by_blocks hands each
-        # contiguous segment block to a single vectorized call.
+        # one-kernel-per-segment dispatch; one mask per segment hands
+        # its users to a single vectorized call, as the store's rounds
+        # do per distinct behaviour.
         flagged=(
             "import numpy as np\n"
             "def dispatch(user_ids, sessions, boundaries, day, rng):\n"
@@ -445,18 +446,14 @@ FIXTURES: Tuple[RuleFixture, ...] = (
         ),
         quiet=(
             "import numpy as np\n"
-            "from repro.core.engine import partition_by_blocks\n"
-            "def dispatch(user_ids, sessions, boundaries, day, rng):\n"
+            "def dispatch(user_ids, sessions, group_of_user, day, rng):\n"
             "    users = np.asarray(user_ids)\n"
-            "    ids, order, starts = partition_by_blocks(users, boundaries)\n"
-            "    out = np.full(users.size, -1)\n"
-            "    for segment in range(starts.size - 1):\n"
-            "        lo, hi = int(starts[segment]), int(starts[segment + 1])\n"
-            "        if lo < hi:\n"
-            "            block = order[lo:hi]\n"
-            "            out[block] = sessions[segment].draw(\n"
-            "                users[block], day, rng\n"
-            "            )\n"
+            "    groups = group_of_user[users]\n"
+            "    out = np.empty(users.size, dtype=np.int64)\n"
+            "    for group, session in enumerate(sessions):\n"
+            "        members = np.flatnonzero(groups == group)\n"
+            "        if members.size:\n"
+            "            out[members] = session.draw(users[members], day, rng)\n"
             "    return out\n"
         ),
         path=SEGMENT_PATH,

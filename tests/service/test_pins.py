@@ -28,30 +28,30 @@ SEED = 7
 DAYS = 4
 RPS = 8.0
 
-FINGERPRINT = "89e88a78c3d3eb4da971697f766c29bf281d960618a53a016d48c8befd97e825"
-DATA_PLANE = "f4cadefb515ecb9d2e1b36d0fba95c9e325498dcd5bc7cb3ea09b92c0c2bbe09"
+FINGERPRINT = "76251bdffddcd5cea08b58f9b41b86817aeb28e1b25d190653d45947213996d6"
+DATA_PLANE = "8ab496076400a7af28aa9ba50b2a92c317c5aa11597b27dfa1972af9658d4d14"
 
 # (plan, clients) -> (worker restarts, trace sha256, traffic-plane sha256)
 PINS = {
     ("mild", 1): (
         0,
         "cc65d1dce37742db440b3fc88ce2770f481f546b607267d355c26a33c5669b74",
-        "b1c8e7cf07bf78e0af6d46e0658a2c40e0036b0eac603b9679df8a074781ee42",
+        "a17f0912280f0d9202dc04c7a69219ede9d23d57bd1bc23013e4eb5304dfdd9e",
     ),
     ("mild", 4): (
         0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "3763e3fc807b0099cf0e8a2a3c1b1a94422140183288db9733fa69758ae17e6a",
+        "bf07d072dbbbe8c67535393485d7dcabf3f4efb2704cf9039274d513e845510b",
     ),
     ("aggressive", 1): (
         1,
-        "3052eec2e0695a715c1e7ad304579ddad0fbaed148f443d34663c73529fbfc5d",
-        "0e8898e19fe806a906ef2e38c5740b12c1f3aa0673b50e2ecf155b439e8a0881",
+        "899d4fc3a03effd591cee812e14f6cf2eb1fb295adf19f3e8bf2f89f1cefcf1a",
+        "fd82bb194e2faa259f3262d7b5c394117bdf145e83720d3bdf8aeca17bec7ae0",
     ),
     ("aggressive", 4): (
         0,
-        "7e646556d51d83b8f6b531977d789b2c7da27d13fa67bbbff4a4f84f0d279a7f",
-        "c9e30c792df2cdcf752ab5a10843b3937d145193f5eff16f94afcb81fbe4e2ed",
+        "f76fddb36eca19222852ace657c99e866d9fc99ff011761a915ee8a02a5564d4",
+        "c04c513c71508ea537e48a9b94d36f3422fa1155625f9202a6fe95468b4d8a5e",
     ),
 }
 
