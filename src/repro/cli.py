@@ -13,6 +13,7 @@ Usage (also via ``python -m repro``):
     repro loadgen  --clients 8 --requests 200            # admission load test
     repro store    pack --db crawl.jsonl --out crawl.cstore  # columnar pack
     repro store    stat crawl.cstore                     # dataset summary
+    repro store    diff crawl.jsonl crawl.cstore         # first difference
     repro metrics  run.metrics.jsonl                     # inspect a metrics file
     repro lint     src/                                  # RPL static analysis
 
@@ -700,9 +701,15 @@ def _run_serve(args) -> int:
             )
         batch_fingerprint = batch.database.fingerprint()
         if batch_fingerprint != report.fingerprint:
+            from repro.store import first_difference
+
+            difference = first_difference(
+                service.database.columnar, batch.database.columnar
+            )
             print(
                 f"error: fingerprint mismatch\n  serve: {report.fingerprint}"
-                f"\n  batch: {batch_fingerprint}",
+                f"\n  batch: {batch_fingerprint}"
+                f"\n  first difference: {difference.describe(('serve', 'batch'))}",
                 file=sys.stderr,
             )
             return 1
@@ -821,7 +828,8 @@ def _run_report(args) -> int:
 def _add_store_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "store",
-        help="pack, inspect, and fingerprint columnar snapshot datasets",
+        help="pack, inspect, fingerprint and compare columnar snapshot "
+        "datasets",
     )
     verbs = parser.add_subparsers(dest="store_verb", required=True)
 
@@ -847,6 +855,15 @@ def _add_store_parser(subparsers) -> None:
     )
     fingerprint.add_argument("path", help="JSONL database or packed dataset")
     fingerprint.set_defaults(handler=_run_store_fingerprint)
+
+    diff = verbs.add_parser(
+        "diff",
+        help="name the first (store, day, column, app) where two datasets "
+        "differ; exits 1 when they differ",
+    )
+    diff.add_argument("left", help="JSONL database or packed dataset")
+    diff.add_argument("right", help="JSONL database or packed dataset")
+    diff.set_defaults(handler=_run_store_diff)
 
 
 def _run_store_pack(args) -> int:
@@ -904,6 +921,19 @@ def _run_store_fingerprint(args) -> int:
     database = SnapshotDatabase.load(args.path)
     print(f"sha256:{database.fingerprint()}")
     return 0
+
+
+def _run_store_diff(args) -> int:
+    from repro.store import first_difference
+
+    left = SnapshotDatabase.load(args.left)
+    right = SnapshotDatabase.load(args.right)
+    difference = first_difference(left.columnar, right.columnar)
+    if difference is None:
+        print(f"identical: sha256:{left.fingerprint()}")
+        return 0
+    print(f"first difference: {difference.describe((args.left, args.right))}")
+    return 1
 
 
 def _add_metrics_parser(subparsers) -> None:

@@ -19,7 +19,11 @@ Two persistence formats round-trip losslessly:
 
 Exactness contract: for the same observations, ``fingerprint()`` returns
 the same hex no matter which path the data travelled (in-memory, JSONL
-round trip, packed + mmap) -- the chaos suite depends on it.
+round trip, packed + mmap) -- the chaos suite depends on it.  The hex is
+a root over per-(store, day) column digests that hash strings as
+resolved values (:mod:`repro.store.fingerprint`), and
+:func:`repro.store.first_difference` names the first (store, day,
+column, app) at which two databases' columns part.
 """
 
 from __future__ import annotations
@@ -425,7 +429,11 @@ class SnapshotDatabase:
         lets chaos tests assert that a crawl under an aggressive fault
         plan recovered the *exact* dataset of the fault-free run.  The
         hex is byte-identical across the in-memory, JSONL, and packed
-        columnar representations of the same observations.
+        columnar representations of the same observations: it is the
+        root over one leaf per (store, day) of snapshots and one per
+        store of comments and of APKs, each leaf holding one digest per
+        column, with strings hashed as resolved values rather than
+        intern ids (see :mod:`repro.store.fingerprint`).
         """
         return self._store.fingerprint()
 

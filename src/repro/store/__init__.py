@@ -6,7 +6,9 @@ strings, sealed into immutable per-(store, day) chunks, and persist to a
 ``.npy``-per-column directory layout that reads back zero-copy through
 ``np.load(mmap_mode="r")``.  :class:`repro.crawler.database.SnapshotDatabase`
 is the dataclass façade over this engine; use that for row-shaped
-access and this package for columns.
+access and this package for columns.  :mod:`repro.store.fingerprint`
+digests a dataset per (store, day) and column, and names the first
+place two datasets differ.
 """
 
 from repro.store.chunks import ApkLog, AppendLog, CommentLog, SnapshotChunk
@@ -18,6 +20,7 @@ from repro.store.disk import (
     open_store,
     pack_store,
 )
+from repro.store.fingerprint import Difference, first_difference
 from repro.store.schema import (
     APK_COLUMNS,
     COMMENT_COLUMNS,
@@ -32,6 +35,7 @@ __all__ = [
     "COMMENT_COLUMNS",
     "ColumnarStore",
     "CommentLog",
+    "Difference",
     "DownloadMatrix",
     "FORMAT_VERSION",
     "Interner",
@@ -40,6 +44,7 @@ __all__ = [
     "StringInterner",
     "TupleInterner",
     "bytes_on_disk",
+    "first_difference",
     "is_packed_dataset",
     "open_store",
     "pack_store",

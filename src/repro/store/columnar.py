@@ -13,15 +13,16 @@ Design invariants:
   (store, day, app) replaces the row at seal time (stable last-write
   selection), never in place.
 - **Zero-copy reads**: sealed columns are frozen; queries return views.
-- **Exactness**: :meth:`fingerprint` reproduces the legacy JSON-per-row
-  SHA-256 byte for byte, which is what lets the chaos suite compare a
-  packed, mmap-backed dataset against an in-memory crawl.
+- **Exactness**: :meth:`fingerprint` is a root over per-(store, day)
+  column digests that hash strings as resolved values, never intern
+  ids, so a packed, mmap-backed dataset, a JSONL round trip and an
+  in-memory crawl of the same observations hash alike, and
+  :func:`~repro.store.fingerprint.first_difference` can name where two
+  datasets part.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.devtools.flow import pure
 from repro.obs.metrics import get_registry
 from repro.store.chunks import ApkLog, CommentLog, SnapshotChunk
 from repro.store.dictionary import StringInterner, TupleInterner
+from repro.store.fingerprint import fingerprint_leaves, fingerprint_root
 from repro.store.schema import SNAPSHOT_COLUMNS
 
 __all__ = [
@@ -307,7 +309,11 @@ class ColumnarStore:
         return np.unique(np.concatenate(arrays))
 
     def n_snapshot_rows(self, store: Optional[str] = None) -> int:
-        """Total sealed + buffered snapshot rows (before de-duplication)."""
+        """Total snapshot rows, counted after sealing.
+
+        Sealing de-duplicates first, so two writes to one (store, day,
+        app) count as one row.
+        """
         self.seal()
         return sum(
             chunk.n_rows
@@ -411,105 +417,13 @@ class ColumnarStore:
     # ------------------------------------------------------------------
 
     def fingerprint(self) -> str:
-        """Order-independent SHA-256, byte-identical to the legacy DB.
+        """Order-independent SHA-256 of the stored observations.
 
-        Streams rows straight out of the columns in the legacy sort
-        order -- snapshots by (store, day, app_id), comments by store
-        then (user, app, day, rating), APKs by (store, app_id,
-        version_name) -- and feeds the digest the exact JSON encoding
-        the flat-dict implementation used.
+        The root over per-(store, day) snapshot leaves and per-store
+        comment and APK leaves, each holding one digest per column
+        (:mod:`repro.store.fingerprint` defines the bytes).  Strings hash
+        as resolved values, so in-memory, JSONL and packed copies of the
+        same observations agree whatever order their strings were
+        interned in.
         """
-        digest = hashlib.sha256()
-        for record in self.iter_fingerprint_records():
-            digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
-        return digest.hexdigest()
-
-    def iter_fingerprint_records(self) -> Iterator[dict]:
-        """The fingerprint's record stream (also reused by JSONL export)."""
-        names = self.names.values()
-        categories = self.categories.values()
-        versions = self.versions.values()
-        packages = self.packages.values()
-        libsets = self.libsets.values()
-        for chunk in self.chunks():
-            columns = {
-                name: chunk.column(name).tolist() for name in SNAPSHOT_COLUMNS
-            }
-            for (
-                app_id,
-                name_id,
-                category_id,
-                developer_id,
-                price,
-                declares_ads,
-                total_downloads,
-                rating_count,
-                average_rating,
-                comment_count,
-                version_id,
-            ) in zip(*(columns[name] for name in SNAPSHOT_COLUMNS)):
-                yield {
-                    "kind": "snapshot",
-                    "store": chunk.store,
-                    "day": chunk.day,
-                    "app_id": app_id,
-                    "name": names[name_id],
-                    "category": categories[category_id],
-                    "developer_id": developer_id,
-                    "price": price,
-                    "declares_ads": declares_ads,
-                    "total_downloads": total_downloads,
-                    "rating_count": rating_count,
-                    "average_rating": average_rating,
-                    "comment_count": comment_count,
-                    "version_name": versions[version_id],
-                }
-        for store in self.comment_stores():
-            columns = self._comments[store].arrays()
-            rows = np.lexsort(
-                (
-                    columns["rating"],
-                    columns["day"],
-                    columns["app_id"],
-                    columns["user_id"],
-                )
-            )
-            for user_id, app_id, day, rating in zip(
-                columns["user_id"][rows].tolist(),
-                columns["app_id"][rows].tolist(),
-                columns["day"][rows].tolist(),
-                columns["rating"][rows].tolist(),
-            ):
-                yield {
-                    "kind": "comment",
-                    "store": store,
-                    "user_id": user_id,
-                    "app_id": app_id,
-                    "day": day,
-                    "rating": rating,
-                }
-        for store in self.apk_stores():
-            columns = self._apks[store].arrays()
-            app_column = columns["app_id"].tolist()
-            version_column = columns["version_id"].tolist()
-            # Legacy order: sorted (store, app_id, version_name) keys.
-            rows = sorted(
-                range(len(app_column)),
-                key=lambda row: (app_column[row], versions[version_column[row]]),
-            )
-            for app_id, version_id, package_id, size_mb, libset_id in zip(
-                columns["app_id"][rows].tolist(),
-                columns["version_id"][rows].tolist(),
-                columns["package_id"][rows].tolist(),
-                columns["size_mb"][rows].tolist(),
-                columns["libset_id"][rows].tolist(),
-            ):
-                yield {
-                    "kind": "apk",
-                    "store": store,
-                    "app_id": app_id,
-                    "version_name": versions[version_id],
-                    "package_name": packages[package_id],
-                    "size_mb": size_mb,
-                    "embedded_libraries": list(libsets[libset_id]),
-                }
+        return fingerprint_root(fingerprint_leaves(self))

@@ -28,7 +28,7 @@ SEED = 7
 DAYS = 4
 RPS = 8.0
 
-FINGERPRINT = "76251bdffddcd5cea08b58f9b41b86817aeb28e1b25d190653d45947213996d6"
+FINGERPRINT = "a8b7ce3afb1382625b36fdb23c52c1c84b53c894ded117f454e610edef970296"
 DATA_PLANE = "8ab496076400a7af28aa9ba50b2a92c317c5aa11597b27dfa1972af9658d4d14"
 
 # (plan, clients) -> (worker restarts, trace sha256, traffic-plane sha256)

@@ -1,5 +1,8 @@
 """Tests for repro.cli (the command-line interface)."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -410,3 +413,76 @@ class TestShardedCampaignCli:
         out = tmp_path / "campaign.json"
         assert self._run(out, shards="0") == 2
         assert "--shards must be >= 1" in capsys.readouterr().err
+
+
+class TestStoreDiff:
+    @staticmethod
+    def _records(path):
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    @staticmethod
+    def _write(path, records):
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        return path
+
+    def test_packed_copy_is_identical(self, crawl_db_path, tmp_path, capsys):
+        packed = tmp_path / "crawl.cstore"
+        assert main(["store", "pack", "--db", str(crawl_db_path), "--out", str(packed)]) == 0
+        capsys.readouterr()
+        assert main(["store", "diff", str(crawl_db_path), str(packed)]) == 0
+        assert capsys.readouterr().out.startswith("identical: sha256:")
+
+    def test_names_a_one_row_change(self, crawl_db_path, tmp_path, capsys):
+        records = self._records(crawl_db_path)
+        days = sorted({r["day"] for r in records if r["kind"] == "snapshot"})
+        day = days[len(days) // 2]
+        row = next(
+            r for r in records
+            if r["kind"] == "snapshot" and r["day"] == day and r["app_id"] >= 10
+        )
+        before = row["total_downloads"]
+        row["total_downloads"] += 1
+        changed = self._write(tmp_path / "changed.jsonl", records)
+        packed = tmp_path / "changed.cstore"
+        assert main(["store", "pack", "--db", str(changed), "--out", str(packed)]) == 0
+        capsys.readouterr()
+        assert main(["store", "diff", str(crawl_db_path), str(packed)]) == 1
+        assert capsys.readouterr().out == (
+            f"first difference: snapshot store 'demo' day {day}, column "
+            f"total_downloads, app {row['app_id']}: {crawl_db_path} {before}, "
+            f"{packed} {before + 1}\n"
+        )
+
+    def test_names_a_removed_day(self, crawl_db_path, tmp_path, capsys):
+        records = self._records(crawl_db_path)
+        days = sorted({r["day"] for r in records if r["kind"] == "snapshot"})
+        day = days[3]
+        kept = [r for r in records if not (r["kind"] == "snapshot" and r["day"] == day)]
+        rows = len(records) - len(kept)
+        removed = self._write(tmp_path / "removed.jsonl", kept)
+        assert main(["store", "diff", str(removed), str(crawl_db_path)]) == 1
+        assert capsys.readouterr().out == (
+            f"first difference: snapshot store 'demo' day {day}: {removed} "
+            f"absent, {crawl_db_path} {rows:,} rows\n"
+        )
+
+
+class TestServeVerifyBatch:
+    def test_mismatch_names_the_first_difference(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        crawl = cli.run_crawl_campaign
+
+        def crawl_another_seed(profile, seed, **kwargs):
+            return crawl(profile, seed=seed + 1, **kwargs)
+
+        monkeypatch.setattr(cli, "run_crawl_campaign", crawl_another_seed)
+        argv = ["serve", "--days", "1", "--clients", "1", "--seed", "0", "--verify-batch"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: fingerprint mismatch" in err
+        assert re.search(
+            r"\n  first difference: (apk|comment|snapshot) store 'demo'"
+            r"(, column \w+, app \d+: serve .+, batch .+| day \d+: serve .+, batch .+)\n",
+            err,
+        ), err
