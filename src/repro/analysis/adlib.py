@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crawler.database import ApkRecord, SnapshotDatabase
 from repro.marketplace.ads import TOP_AD_NETWORKS, contains_ad_network
+from repro.marketplace.entities import is_free_price
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,11 @@ def scan_store_for_ads(
         if not days:
             raise KeyError(f"no crawled days for store {store!r}")
         day = days[-1] if day is None else day
-        free_ids = {
-            snapshot.app_id
-            for snapshot in database.snapshots_on(store, day)
-            if snapshot.is_free
-        }
+        columns = database.snapshot_columns(store, day)
+        free_ids = set()
+        if columns is not None:
+            free = is_free_price(columns.column("price"))
+            free_ids = set(columns.app_ids[free].tolist())
         apks = [apk for apk in apks if apk.app_id in free_ids]
     return scan_apks(store, apks)
 
@@ -113,10 +114,12 @@ def declaration_accuracy(
         raise KeyError(f"no crawled days for store {store!r}")
     day = days[-1] if day is None else day
     scan = scan_store_for_ads(database, store)
-    declared = {
-        snapshot.app_id: snapshot.declares_ads
-        for snapshot in database.snapshots_on(store, day)
-    }
+    columns = database.snapshot_columns(store, day)
+    declared = {}
+    if columns is not None:
+        declared = dict(
+            zip(columns.app_ids.tolist(), columns.column("declares_ads").tolist())
+        )
     checked = [
         app_id for app_id in scan.per_app if app_id in declared
     ]

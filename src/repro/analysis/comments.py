@@ -63,7 +63,10 @@ def category_of_apps(
     if not days:
         raise KeyError(f"no crawled days for store {store!r}")
     day = days[-1] if day is None else day
-    return {s.app_id: s.category for s in database.snapshots_on(store, day)}
+    columns = database.snapshot_columns(store, day)
+    if columns is None:
+        return {}
+    return dict(zip(columns.app_ids.tolist(), columns.decoded("category_id")))
 
 
 def user_category_strings(

@@ -9,9 +9,10 @@ summary from a crawled snapshot database.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.crawler.database import SnapshotDatabase
+from repro.marketplace.entities import is_free_price
 
 
 @dataclass(frozen=True)
@@ -44,19 +45,19 @@ def _summarize(
         raise ValueError(f"store {store!r} needs at least two crawled days")
     first_day, last_day = days[0], days[-1]
 
-    def select(day: int):
-        snapshots = database.snapshots_on(store, day)
-        if price_filter == "free":
-            snapshots = [s for s in snapshots if s.is_free]
-        elif price_filter == "paid":
-            snapshots = [s for s in snapshots if s.is_paid]
-        return snapshots
+    def select(day: int) -> Tuple[int, int]:
+        """(apps, total downloads) of the rows passing the price filter."""
+        columns = database.snapshot_columns(store, day)
+        if columns is None:
+            return 0, 0
+        downloads = columns.column("total_downloads")
+        if price_filter in ("free", "paid"):
+            free = is_free_price(columns.column("price"))
+            downloads = downloads[free if price_filter == "free" else ~free]
+        return int(downloads.size), sum(downloads.tolist())
 
-    first = select(first_day)
-    last = select(last_day)
-    apps_first, apps_last = len(first), len(last)
-    downloads_first = sum(s.total_downloads for s in first)
-    downloads_last = sum(s.total_downloads for s in last)
+    apps_first, downloads_first = select(first_day)
+    apps_last, downloads_last = select(last_day)
     span = max(1, last_day - first_day)
     label = store if price_filter is None else f"{store} ({price_filter})"
     return DatasetSummaryRow(

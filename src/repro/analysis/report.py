@@ -79,7 +79,7 @@ def full_report(
 
     # --- clustering effect (Section 4) -------------------------------------
     sections.append(_heading("Clustering effect (Figures 5-7)"))
-    if database.comments(store):
+    if database.n_comments(store):
         from repro.analysis.affinity_study import affinity_study
         from repro.analysis.comments import comment_behavior_report
         from repro.analysis.spam import detect_spam_users
@@ -114,9 +114,8 @@ def full_report(
     # --- pricing and revenue (Section 6) ------------------------------------
     sections.append(_heading("Pricing and revenue (Figures 11-18)"))
     last_day = database.days(store)[-1]
-    has_paid = any(
-        snapshot.price > 0 for snapshot in database.snapshots_on(store, last_day)
-    )
+    columns = database.snapshot_columns(store, last_day)
+    has_paid = columns is not None and bool((columns.column("price") > 0).any())
     if has_paid:
         from repro.analysis.adlib import scan_store_for_ads
         from repro.analysis.income import income_report

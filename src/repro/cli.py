@@ -35,6 +35,7 @@ from typing import List, Optional
 
 from repro.crawler.database import SnapshotDatabase
 from repro.crawler.scheduler import run_crawl_campaign
+from repro.marketplace.entities import is_free_price
 from repro.marketplace.profiles import demo_profile, paper_profile, scaled_profile
 from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -258,7 +259,7 @@ def _run_analyze(args) -> int:
     if section in ("affinity", "all"):
         from repro.analysis.affinity_study import affinity_study
 
-        if database.comments(store):
+        if database.n_comments(store):
             print(affinity_study(database, store).describe())
         elif section == "affinity":
             print("error: no comments in the database "
@@ -267,7 +268,7 @@ def _run_analyze(args) -> int:
     if section in ("spam", "all"):
         from repro.analysis.spam import detect_spam_users
 
-        if database.comments(store):
+        if database.n_comments(store):
             print(detect_spam_users(database, store).describe())
         elif section == "spam":
             print("error: no comments in the database", file=sys.stderr)
@@ -283,9 +284,9 @@ def _run_analyze(args) -> int:
             f"{fresh * 100:.1f}% crawl-era arrivals"
         )
     if section in ("pricing", "income", "strategies", "all"):
-        has_paid = any(
-            snapshot.is_paid
-            for snapshot in database.snapshots_on(store, database.days(store)[-1])
+        columns = database.snapshot_columns(store, database.days(store)[-1])
+        has_paid = columns is not None and bool(
+            (~is_free_price(columns.column("price"))).any()
         )
         if not has_paid:
             if section in ("pricing", "income", "strategies"):

@@ -177,37 +177,48 @@ def find_problematic_apps(
     """
     if shortfall_factor <= 1.0:
         raise ValueError("shortfall_factor must exceed 1")
-    start = {
-        s.app_id: s.total_downloads
-        for s in database.snapshots_on(forecast.store, forecast.reference_day)
-    }
-    end = {
-        s.app_id: s.total_downloads
-        for s in database.snapshots_on(forecast.store, forecast.target_day)
-    }
-    # Rank apps by their reference-day downloads to map onto the curve.
-    ranked_apps = sorted(start, key=lambda app_id: start[app_id], reverse=True)
-
-    predicted_reference = forecast.observed_reference
-    predicted_target = forecast.predicted_curve
-    problematic: List[ProblematicApp] = []
-    for rank_index, app_id in enumerate(ranked_apps):
-        if rank_index >= predicted_target.size:
-            break
-        expected_growth = float(
-            predicted_target[rank_index] - predicted_reference[rank_index]
+    start = database.snapshot_columns(forecast.store, forecast.reference_day)
+    end = database.snapshot_columns(forecast.store, forecast.target_day)
+    if start is None:
+        return []
+    app_ids = start.app_ids
+    start_downloads = start.column("total_downloads")
+    # Growth over the window; an app missing on the target day has none.
+    growth = np.zeros(app_ids.size, dtype=np.int64)
+    if end is not None and end.n_rows:
+        positions = np.minimum(np.searchsorted(end.app_ids, app_ids), end.n_rows - 1)
+        found = end.app_ids[positions] == app_ids
+        growth[found] = (
+            end.column("total_downloads")[positions[found]] - start_downloads[found]
         )
-        if expected_growth < min_expected_growth:
-            continue
-        observed_growth = end.get(app_id, start[app_id]) - start[app_id]
-        if observed_growth * shortfall_factor < expected_growth:
-            problematic.append(
-                ProblematicApp(
-                    app_id=app_id,
-                    rank=rank_index + 1,
-                    observed_growth=int(observed_growth),
-                    expected_growth=expected_growth,
-                )
-            )
+    # Rank apps by their reference-day downloads to map onto the curve,
+    # ties in app-id order: a stable ascending sort of the reversed
+    # column, read backwards, is a stable descending sort.
+    n_ranked = min(app_ids.size, forecast.predicted_curve.size)
+    ranked = (
+        app_ids.size - 1 - np.argsort(start_downloads[::-1], kind="stable")[::-1]
+    )[:n_ranked]
+    expected_growth = (
+        forecast.predicted_curve[:n_ranked] - forecast.observed_reference[:n_ranked]
+    )
+    observed_growth = growth[ranked]
+    flagged = np.flatnonzero(
+        ~(expected_growth < min_expected_growth)
+        & (observed_growth * shortfall_factor < expected_growth)
+    )
+    problematic = [
+        ProblematicApp(
+            app_id=app_id,
+            rank=rank_index + 1,
+            observed_growth=observed,
+            expected_growth=expected,
+        )
+        for app_id, rank_index, observed, expected in zip(
+            app_ids[ranked[flagged]].tolist(),
+            flagged.tolist(),
+            observed_growth[flagged].tolist(),
+            expected_growth[flagged].tolist(),
+        )
+    ]
     problematic.sort(key=lambda app: app.shortfall, reverse=True)
     return problematic

@@ -2,12 +2,16 @@
 
 The paper's crawlers write every observation to a local database: per-app
 daily statistics, all user comments, and every APK version.  This module
-is that database's **row-shaped façade**: the same dataclass-in,
-dataclass-out API the analysis layer has always consumed, now backed by
-the out-of-core columnar engine in :mod:`repro.store`.  Snapshots live
-in per-(store, day) chunks sorted by app id, so day queries are O(chunk)
-slices instead of full-database scans; comments and APK index entries
-live in per-store insertion-ordered logs.
+is that database's façade over the out-of-core columnar engine in
+:mod:`repro.store`.  The crawler writes through it as dataclasses; the
+analyses read columns (:meth:`SnapshotDatabase.snapshot_columns`,
+:meth:`SnapshotDatabase.download_matrix`, the chunks themselves), and
+the row-shaped queries (:meth:`SnapshotDatabase.snapshots_on`,
+:meth:`SnapshotDatabase.snapshot`) stay for tests and tools that want
+one record per row.  Snapshots live in per-(store, day) chunks sorted
+by app id, so day queries are O(chunk) slices instead of full-database
+scans; comments and APK index entries live in per-store
+insertion-ordered logs.
 
 Two persistence formats round-trip losslessly:
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -327,6 +331,11 @@ class SnapshotDatabase:
             store, first_day, last_day
         )
         return dict(zip(app_ids.tolist(), counts.tolist()))
+
+    def n_comments(self, store: str) -> int:
+        """Number of comments of a store, without building them."""
+        log = self._store.comment_log(store)
+        return 0 if log is None else len(log)
 
     def comments(self, store: str) -> List[Comment]:
         """All comments of a store in insertion order."""

@@ -58,13 +58,24 @@ RNG_HELPER_MODULE_SUFFIXES = ("repro/stats/rng.py",)
 #: resolve persona segments (one kernel call per segment, selected by one
 #: mask), and the store tick (one clustered and one global kernel call
 #: per round, one sort per law for a heavy account's day, never a kernel
-#: call per download).
+#: call per download), and the analyses that replaced row loops with
+#: column reads, with their CLI gates.  The rule sees names bound to
+#: numpy constructors; a loop over a column read straight from a chunk
+#: escapes it, which the report's no-row-reads test covers.
 VECTORIZED_MODULE_SCOPES = BATCHED_MODULE_SUFFIXES + (
     "repro/store/",
     "repro/marketplace/segments.py",
     "repro/marketplace/behavior.py",
     "repro/marketplace/store.py",
     "repro/workload/sharding.py",
+    "repro/analysis/adlib.py",
+    "repro/analysis/comments.py",
+    "repro/analysis/dataset.py",
+    "repro/analysis/report.py",
+    "repro/analysis/strategies.py",
+    "repro/crawler/quality.py",
+    "repro/core/prediction.py",
+    "repro/cli.py",
 )
 
 #: The always-on service, which runs on the virtual clock (the RPL040

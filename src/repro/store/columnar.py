@@ -170,7 +170,9 @@ class ColumnarStore:
         (``name_id``, ``category_id``, ``version_id``) or as its strings
         (``name``, ``category``, ``version_name``).  Strings are interned
         in row order, so the rows encode exactly as the same rows added
-        one at a time through :meth:`add_snapshot_row`.
+        one at a time through :meth:`add_snapshot_row`.  Zero rows add
+        nothing: no buffer, so no crawled day that a JSONL copy (one
+        line per row) would not have.
         """
         strings = {
             "name_id": ("name", self.names),
@@ -188,12 +190,14 @@ class ColumnarStore:
         missing = [column for column in SNAPSHOT_COLUMNS if column not in sources]
         if missing:
             raise KeyError(f"missing snapshot columns: {missing}")
+        n_rows = len(columns["app_id"])
+        if n_rows == 0:
+            return
         buffers = self._snapshot_buffers(store, day)
         for column, values in sources.items():
             if isinstance(values, np.ndarray):
                 values = values.tolist()
             buffers[column].extend(values)
-        n_rows = len(columns["app_id"])
         get_registry().counter("store.rows_ingested.snapshots").add(n_rows)
 
     def add_comment_row(

@@ -71,3 +71,36 @@ class TestReportCli:
         db_path = tmp_path / "crawl.jsonl"
         demo_campaign.database.save(db_path)
         assert main(["report", "--db", str(db_path), "--store", "ghost"]) == 2
+
+
+class TestNoRowReads:
+    """The study reads snapshot columns: neither the report nor
+    ``repro analyze`` builds one ``AppSnapshot`` per row."""
+
+    @pytest.fixture
+    def rows_refused(self, monkeypatch):
+        from repro.crawler.database import SnapshotDatabase
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an analysis read snapshots one row at a time")
+
+        monkeypatch.setattr(SnapshotDatabase, "snapshots_on", refuse)
+        monkeypatch.setattr(SnapshotDatabase, "snapshot", refuse)
+
+    def test_full_report(self, slideme_campaign, rows_refused):
+        text = full_report(
+            slideme_campaign.database, "slideme-test", min_group_size=5
+        )
+        assert "per download" in text  # the pricing section ran
+        assert "affinity" in text  # and the clustering section
+
+    def test_analyze_all_sections(
+        self, slideme_campaign, rows_refused, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        db_path = tmp_path / "crawl.cstore"
+        slideme_campaign.database.pack(db_path)
+        exit_code = main(["analyze", "--db", str(db_path), "--store", "slideme-test"])
+        assert exit_code == 0
+        assert "per download" in capsys.readouterr().out  # strategies ran

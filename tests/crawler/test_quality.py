@@ -4,6 +4,7 @@ import pytest
 
 from repro.crawler.database import AppSnapshot, SnapshotDatabase
 from repro.crawler.quality import assess_crawl_quality
+from repro.store.schema import SNAPSHOT_COLUMNS
 
 
 def snapshot(day, app_id, downloads, comments=0):
@@ -75,3 +76,26 @@ class TestAssessCrawlQuality:
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError):
             assess_crawl_quality(SnapshotDatabase(), "s")
+
+
+class TestZeroRowAppend:
+    def test_copies_agree_after_an_empty_append(self, tmp_path):
+        """An append of zero rows (a served day with no page) adds no
+        crawled day, so the in-memory, JSONL and packed copies agree."""
+        database = SnapshotDatabase()
+        for day in (3, 5):
+            database.add_snapshot(snapshot(day, app_id=1, downloads=day))
+        empty = {column: [] for column in SNAPSHOT_COLUMNS}
+        database.columnar.extend_snapshots("s", 4, empty)
+        database.save(tmp_path / "crawl.jsonl")
+        database.pack(tmp_path / "crawl.cstore")
+        copies = [
+            database,
+            SnapshotDatabase.load(tmp_path / "crawl.jsonl"),
+            SnapshotDatabase.load(tmp_path / "crawl.cstore"),
+        ]
+        assert [copy.days("s") for copy in copies] == [[3, 5]] * 3
+        reports = [assess_crawl_quality(copy, "s") for copy in copies]
+        assert reports[0].expected_cadence == 2
+        assert reports[0].mean_daily_coverage == 1.0
+        assert reports[1:] == [reports[0]] * 2

@@ -14,6 +14,7 @@ import pytest
 from repro.crawler.database import ApkRecord, AppSnapshot, SnapshotDatabase
 from repro.marketplace.entities import Comment
 from repro.store import ColumnarStore, Difference, first_difference
+from repro.store.chunks import SnapshotChunk
 from repro.store.fingerprint import _sorted_rows
 from repro.store.schema import SNAPSHOT_COLUMNS
 
@@ -127,7 +128,7 @@ class TestCanonicalBytes:
         plain = database_of(snapshot(1))
         padded = database_of(snapshot(1))
         empty = {column: [] for column in SNAPSHOT_COLUMNS}
-        padded.columnar.extend_snapshots("s", 9, empty)
+        padded.columnar._register_chunk(SnapshotChunk.seal("s", 9, empty))
         assert padded.days("s") == [3, 9]  # the empty chunk is there
         assert padded.fingerprint() == plain.fingerprint()
         assert first_difference(plain.columnar, padded.columnar) is None
