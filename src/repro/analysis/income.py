@@ -81,10 +81,22 @@ def paid_app_records(
     if not days:
         raise KeyError(f"no crawled days for store {store!r}")
     day = days[-1] if day is None else day
+    return _paid_records_on(database, store, day, _average_prices(database, store))
+
+
+def _paid_records_on(
+    database: SnapshotDatabase,
+    store: str,
+    day: int,
+    average_prices: Tuple[np.ndarray, np.ndarray],
+) -> List[PaidAppRecord]:
+    """``paid_app_records`` on one crawled day, given the crawl-average
+    prices ``_average_prices(database, store)``: a caller that samples
+    many days computes them once."""
     columns = database.snapshot_columns(store, day)
     if columns is None:
         raise ValueError(f"store {store!r} has no paid apps")
-    all_app_ids, averages = _average_prices(database, store)
+    all_app_ids, averages = average_prices
     positions = np.searchsorted(all_app_ids, columns.app_ids)
     day_prices = averages[positions]
     paid_rows = np.flatnonzero(day_prices > 0)
