@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow coverage lint lint-repro lint-ruff lint-mypy bench-smoke bench-shapes bench bench-store-smoke bench-store serve-smoke
+.PHONY: test test-slow coverage lint lint-repro lint-ruff lint-mypy bench-smoke bench-shapes bench bench-store-smoke bench-store serve-smoke e2e-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -107,6 +107,22 @@ serve-smoke:
 	$(PYTHON) -m repro metrics serve_traffic.metrics.jsonl --check
 	$(PYTHON) -m repro serve --days 3 --clients 4 --seed 0 --faults aggressive \
 		--verify-batch
+
+# The end-to-end benchmark's own command at smoke size: every workload,
+# untraced and traced, must exit 0.  run.py exits 1 when a repeat raises
+# or an output check fails, which is how a change that breaks an entry
+# point the benchmark drives shows up.  Each run prints its summary line,
+# or its whole output when it fails.
+E2E_WORKLOADS = campaign-anzhi serve-1mobile report-slideme
+e2e-smoke:
+	@for workload in $(E2E_WORKLOADS); do \
+		for trace in 0 1; do \
+			echo "e2e smoke: $$workload --trace $$trace"; \
+			out=$$($(PYTHON) benchmarks/e2e/run.py --workload $$workload --smoke \
+				--seconds 1 --trace $$trace) || { echo "$$out"; exit 1; }; \
+			echo "$$out" | tail -n 1 | cut -c 1-100; \
+		done; \
+	done
 
 # Columnar store smoke: chunk-indexed day queries beat the flat-dict
 # scan, and a cold subprocess reproduces the packed dataset's answers.

@@ -4,7 +4,7 @@ Three measurements, all against the out-of-core store behind
 :class:`repro.crawler.database.SnapshotDatabase`:
 
 - **ingest** -- rows/s through the bulk ``extend_snapshots`` path (one
-  sealed chunk per crawl day) and through the row-at-a-time crawler API;
+  sealed chunk per crawl day);
 - **day queries** -- latency of ``download_vector(store, day)`` against
   a faithful re-creation of the seed's flat-dict scan (every day query
   walked all (store, day, app) keys); the acceptance bar is a >=10x
@@ -115,28 +115,19 @@ class _CountingSink(io.TextIOBase):
 
 @dataclass(frozen=True)
 class IngestTiming:
-    """Bulk and per-row ingest throughput."""
+    """Bulk ingest throughput."""
 
     n_rows: int
     bulk_seconds: float
-    per_row_rows: int
-    per_row_seconds: float
 
     @property
     def bulk_rows_per_sec(self) -> float:
         return self.n_rows / self.bulk_seconds if self.bulk_seconds else 0.0
 
-    @property
-    def per_row_rows_per_sec(self) -> float:
-        if not self.per_row_seconds:
-            return 0.0
-        return self.per_row_rows / self.per_row_seconds
-
     def describe(self) -> str:
         return (
             f"ingest: bulk {self.bulk_rows_per_sec:,.0f} rows/s "
-            f"({self.n_rows:,} rows), per-row "
-            f"{self.per_row_rows_per_sec:,.0f} rows/s"
+            f"({self.n_rows:,} rows)"
         )
 
 
@@ -260,39 +251,7 @@ def build_store_database(
             columnar.seal_chunk(store, day)
             n_rows += n_apps
     bulk_seconds = time.perf_counter() - start
-
-    # Per-row reference: the crawler API, one day of the first store's
-    # shape appended to a scratch database.
-    scratch = SnapshotDatabase()
-    _, n_apps, _ = shapes[0]
-    per_row_rows = min(n_apps, 20_000)
-    start = time.perf_counter()
-    for app_id in range(per_row_rows):
-        scratch.columnar.add_snapshot_row(
-            "scratch",
-            0,
-            app_id,
-            f"app-{app_id}",
-            f"category-{app_id % _N_CATEGORIES}",
-            app_id // 4,
-            0.0,
-            False,
-            100,
-            10,
-            3.5,
-            2,
-            "1.0",
-        )
-    scratch.columnar.seal_chunk("scratch", 0)
-    per_row_seconds = time.perf_counter() - start
-
-    timing = IngestTiming(
-        n_rows=n_rows,
-        bulk_seconds=bulk_seconds,
-        per_row_rows=per_row_rows,
-        per_row_seconds=per_row_seconds,
-    )
-    return database, timing
+    return database, IngestTiming(n_rows=n_rows, bulk_seconds=bulk_seconds)
 
 
 def _legacy_flat_dict(
@@ -413,7 +372,6 @@ def write_results(
         "ingest": {
             **asdict(ingest),
             "bulk_rows_per_sec": round(ingest.bulk_rows_per_sec, 1),
-            "per_row_rows_per_sec": round(ingest.per_row_rows_per_sec, 1),
         },
         "day_query": {
             **asdict(day_query),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crawler.database import ApkRecord, SnapshotDatabase
-from repro.marketplace.ads import TOP_AD_NETWORKS, contains_ad_network
+from repro.marketplace.ads import ad_network_of
 from repro.marketplace.entities import is_free_price
 
 
@@ -51,19 +51,29 @@ class AdScanResult:
 
 
 def scan_apks(store: str, apks: Sequence[ApkRecord]) -> AdScanResult:
-    """Scan a set of APK records for embedded ad networks."""
+    """Scan a set of APK records for embedded ad networks.
+
+    Each distinct library list is matched once; counts still grow APK by
+    APK and library by library, which fixes ``network_counts``' key order
+    (the tie-break of :meth:`AdScanResult.top_networks`).
+    """
     per_app: Dict[int, bool] = {}
     network_counts: Dict[str, int] = {}
+    matched: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
     for apk in apks:
-        has_ads = contains_ad_network(apk.embedded_libraries)
+        networks = matched.get(apk.embedded_libraries)
+        if networks is None:
+            networks = tuple(
+                network
+                for network in map(ad_network_of, apk.embedded_libraries)
+                if network is not None
+            )
+            matched[apk.embedded_libraries] = networks
         # The latest scanned version decides the app's flag; records are
         # processed in archive order so later versions overwrite.
-        per_app[apk.app_id] = has_ads
-        for library in apk.embedded_libraries:
-            for network in TOP_AD_NETWORKS:
-                if library == network or library.startswith(network + "."):
-                    network_counts[network] = network_counts.get(network, 0) + 1
-                    break
+        per_app[apk.app_id] = bool(networks)
+        for network in networks:
+            network_counts[network] = network_counts.get(network, 0) + 1
     n_with_ads = sum(1 for has_ads in per_app.values() if has_ads)
     return AdScanResult(
         store=store,

@@ -17,23 +17,26 @@ pages are validated and re-fetched when a store serves garbage, and a
 :class:`~repro.resilience.faults.FaultInjector` can schedule proxy
 deaths, clock skew, and worker crashes for chaos runs.
 
-The retry/pacing ladder itself lives in
-:mod:`repro.crawler.requesting` as a sans-IO generator
-(:class:`~repro.crawler.requesting.RequestEngine`), so the always-on
-service (:mod:`repro.service`) can drive the identical code path on an
-async virtual clock.  This class is the synchronous driver: it owns a
-scalar simulated clock and advances it by whatever the engine yields.
+The batch crawler and the always-on service (:mod:`repro.service`) run
+one crawl path: the retry/pacing ladder of a request is the sans-IO
+:class:`~repro.crawler.requesting.RequestEngine`; a day's requests are
+the sans-IO sequences :func:`listing_walk` and :func:`app_visit`, which
+yield ``(endpoint, args)`` and are sent each result; and the day lands
+through :func:`commit_day` once every listed app has been visited.
+:class:`StoreCrawler` is the synchronous driver: it owns a scalar
+simulated clock and runs each yielded request to completion on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.crawler.database import ApkRecord, AppSnapshot, SnapshotDatabase
+from repro.crawler.database import ApkRecord, SnapshotDatabase
 from repro.crawler.proxies import ProxyPool
 from repro.crawler.requesting import CrawlError, ProxiesExhausted, RequestEngine
-from repro.crawler.webapi import StoreWebApi
+from repro.crawler.webapi import ApkDownload, AppPage, StoreWebApi
+from repro.marketplace.entities import Comment
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultInjector
@@ -41,11 +44,19 @@ from repro.resilience.retry import RetryPolicy
 from repro.stats.rng import SeedLike, make_rng
 
 __all__ = [
+    "AppObservation",
     "CrawlError",
     "CrawlStats",
+    "DayCommit",
     "ProxiesExhausted",
     "StoreCrawler",
+    "app_visit",
+    "commit_day",
+    "listing_walk",
 ]
+
+#: One request of a crawl sequence: an endpoint and its leading arguments.
+Request = Tuple[object, Tuple]
 
 
 @dataclass
@@ -60,11 +71,131 @@ class CrawlStats:
     transient_faults: int = 0
     corrupt_pages: int = 0
     breaker_skips: int = 0
-    pages_dropped: int = 0
     backoff_seconds: float = 0.0
     apps_crawled: int = 0
     apks_fetched: int = 0
     comments_fetched: int = 0
+
+
+@dataclass(frozen=True)
+class AppObservation:
+    """Everything one visit fetched about one app on one day.
+
+    ``apk`` is None when the version was already archived; ``comments``
+    is None when comment collection was off or the app had none.
+    """
+
+    page: AppPage
+    apk: Optional[ApkDownload]
+    comments: Optional[List[Comment]]
+
+
+@dataclass(frozen=True)
+class DayCommit:
+    """What :func:`commit_day` landed: pages, APK versions archived, and
+    comments offered (before de-duplication against the log)."""
+
+    pages: int
+    apks_stored: int
+    comments_offered: int
+
+
+def listing_walk(api: StoreWebApi) -> Generator[Request, object, List[int]]:
+    """The requests that list a store: the page count, then every page.
+
+    Returns every listed app id, in listing order.
+    """
+    n_pages = yield api.n_pages, ()
+    app_ids: List[int] = []
+    for page in range(n_pages):
+        app_ids.extend((yield api.list_page, (page,)))
+    return app_ids
+
+
+def app_visit(
+    api: StoreWebApi,
+    app_id: int,
+    known_apks: Dict[int, ApkRecord],
+    fetch_comments: bool,
+    stats: CrawlStats,
+) -> Generator[Request, object, AppObservation]:
+    """The requests of one app's daily visit.
+
+    The statistics page first (counted in ``stats.apps_crawled`` as it
+    arrives); then the APK, only when ``known_apks`` -- the archive at
+    the start of the day -- lacks the page's version (the paper: "we
+    download each app version only once"); then the comments, only with
+    ``fetch_comments`` and when the page shows any.  The store must hold
+    still while the day is crawled, so the APK fetched is the page's
+    version.
+    """
+    page = yield api.app_page, (app_id,)
+    stats.apps_crawled += 1
+    apk: Optional[ApkDownload] = None
+    known = known_apks.get(app_id)
+    if known is None or known.version_name != page.statistics.version_name:
+        apk = yield api.download_apk, (app_id,)
+    comments: Optional[List[Comment]] = None
+    if fetch_comments and page.statistics.comment_count > 0:
+        comments = yield api.app_comments, (app_id,)
+    return AppObservation(page=page, apk=apk, comments=comments)
+
+
+def commit_day(
+    database: SnapshotDatabase,
+    store: str,
+    day: int,
+    observations: Sequence[AppObservation],
+) -> DayCommit:
+    """Land one crawled day, its observations in listing order.
+
+    The pages land as one snapshot append, the new APK versions as one
+    archive append (sequence numbers in listing order) and the comments
+    as one log append that keeps each comment's first sight, on an
+    earlier day or earlier today.  Pages intern their strings before
+    APKs do, which leaves every intern table in the order per-app writes
+    would: an APK's only string a page also has is its version, and that
+    is the page's own.
+    """
+    columnar = database.columnar
+    pages = [observation.page for observation in observations]
+    statistics = [page.statistics for page in pages]
+    columnar.extend_snapshots(
+        store,
+        day,
+        {
+            "app_id": [page.app_id for page in pages],
+            "name": [page.name for page in pages],
+            "category": [page.category for page in pages],
+            "developer_id": [page.developer_id for page in pages],
+            "price": [page.price for page in pages],
+            "declares_ads": [page.declares_ads for page in pages],
+            "total_downloads": [stats.total_downloads for stats in statistics],
+            "rating_count": [stats.rating_count for stats in statistics],
+            "average_rating": [stats.average_rating for stats in statistics],
+            "comment_count": [stats.comment_count for stats in statistics],
+            "version_name": [stats.version_name for stats in statistics],
+        },
+    )
+    apks_stored = columnar.extend_apks(
+        store,
+        [
+            (apk.app_id, apk.version_name, apk.package_name, apk.size_mb,
+             apk.embedded_libraries)
+            for apk in (observation.apk for observation in observations)
+            if apk is not None
+        ],
+    )
+    comments = [
+        (comment.user_id, comment.app_id, comment.day, comment.rating)
+        for observation in observations
+        if observation.comments is not None
+        for comment in observation.comments
+    ]
+    columnar.extend_comments(store, comments)
+    return DayCommit(
+        pages=len(pages), apks_stored=apks_stored, comments_offered=len(comments)
+    )
 
 
 class StoreCrawler:
@@ -82,13 +213,10 @@ class StoreCrawler:
         Self-imposed request pacing (kept below the store's threshold, as
         the paper's crawlers were designed to comply with each store's
         limits).
-    max_retries:
-        Attempts per request before giving up; ignored when a full
-        ``retry_policy`` is given.
     retry_policy:
-        Backoff schedule between attempts.  The default backs off
-        exponentially from 0.25s to 30s of simulated time with 10%
-        seeded jitter.
+        Attempt budget and backoff schedule.  The default makes 5
+        attempts, backing off exponentially from 0.25s to 30s of
+        simulated time with 10% seeded jitter.
     breaker_factory:
         Builds the per-proxy circuit breaker; ``None`` uses defaults
         (3 consecutive failures trip it, 60 simulated seconds to reset).
@@ -98,12 +226,6 @@ class StoreCrawler:
     seed:
         Randomness for backoff jitter only -- the crawled data never
         depends on it.
-    drop_failed_pages:
-        When True, an app page whose request exhausts all retries is
-        *dropped* -- counted in ``stats.pages_dropped`` and the
-        ``crawler.pages_dropped`` metric -- instead of aborting the
-        whole crawl day.  The paper's crawler behaved this way: a
-        single unreachable listing cost one observation, not the day.
     metrics:
         Observability sink; defaults to the process-global registry.
     """
@@ -114,30 +236,19 @@ class StoreCrawler:
         database: SnapshotDatabase,
         proxy_pool: ProxyPool,
         requests_per_second: float = 8.0,
-        max_retries: int = 5,
         retry_policy: Optional[RetryPolicy] = None,
         breaker_factory=None,
         fault_injector: Optional[FaultInjector] = None,
         seed: SeedLike = None,
-        drop_failed_pages: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if requests_per_second <= 0:
             raise ValueError("requests_per_second must be positive")
-        if max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
         self._api = api
         self._database = database
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(max_attempts=max_retries)
-        )
-        self.max_retries = self.retry_policy.max_attempts
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.stats = CrawlStats()
         self._clock = 0.0
-        self.drop_failed_pages = drop_failed_pages
-        self._metrics = metrics if metrics is not None else get_registry()
         self._engine = RequestEngine(
             api=api,
             proxy_pool=proxy_pool,
@@ -149,7 +260,7 @@ class StoreCrawler:
             fault_injector=fault_injector,
             retry_rng=make_rng(seed),
             stats=self.stats,
-            metrics=self._metrics,
+            metrics=metrics if metrics is not None else get_registry(),
         )
 
     @property
@@ -183,79 +294,33 @@ class StoreCrawler:
         except StopIteration as done:
             return done.value
 
-    def _discover_app_ids(self) -> List[int]:
-        """Walk all listing pages and return every listed app id."""
-        n_pages = self._request(self._api.n_pages)
-        app_ids: List[int] = []
-        for page in range(n_pages):
-            app_ids.extend(self._request(self._api.list_page, page))
-        return app_ids
+    def _drive(self, sequence: Generator[Request, object, object]):
+        """Run a crawl sequence's requests one by one; returns its value."""
+        try:
+            endpoint, args = next(sequence)
+            while True:
+                endpoint, args = sequence.send(self._request(endpoint, *args))
+        except StopIteration as done:
+            return done.value
 
     def crawl_day(self, day: int, fetch_comments: bool = True) -> int:
         """Run one daily crawl; returns the number of apps snapshotted.
 
         ``day`` is the store's simulation day being observed; the paper's
         crawler tags each observation with its crawl date the same way.
-        Writes are idempotent, so a supervisor may safely re-run a day
-        whose worker crashed partway through.
-
-        With ``drop_failed_pages`` set, an app whose statistics page
-        cannot be fetched within the retry budget is skipped for the day
-        and accounted as a dropped page; :class:`ProxiesExhausted` still
-        propagates, because a dead pool dooms every remaining app.
+        The day is committed once every listed app has been visited, so
+        a day that raises -- a request out of retries, a crashed worker,
+        a dead proxy pool -- writes nothing, and a supervisor may re-run
+        it.
         """
-        app_ids = self._discover_app_ids()
-        known_apks = self._database.latest_apk_per_app(self._api.store_name)
-        for app_id in app_ids:
-            try:
-                page = self._request(self._api.app_page, app_id)
-            except ProxiesExhausted:
-                raise
-            except CrawlError:
-                if not self.drop_failed_pages:
-                    raise
-                self.stats.pages_dropped += 1
-                self._metrics.counter("crawler.pages_dropped").add(1)
-                continue
-            self._database.add_snapshot(
-                AppSnapshot(
-                    store=self._api.store_name,
-                    day=day,
-                    app_id=page.app_id,
-                    name=page.name,
-                    category=page.category,
-                    developer_id=page.developer_id,
-                    price=page.price,
-                    declares_ads=page.declares_ads,
-                    total_downloads=page.statistics.total_downloads,
-                    rating_count=page.statistics.rating_count,
-                    average_rating=page.statistics.average_rating,
-                    comment_count=page.statistics.comment_count,
-                    version_name=page.statistics.version_name,
-                )
-            )
-            self.stats.apps_crawled += 1
-
-            # Fetch the APK only when we have not yet archived this version
-            # (the paper: "we download each app version only once").
-            known = known_apks.get(app_id)
-            if known is None or known.version_name != page.statistics.version_name:
-                apk = self._request(self._api.download_apk, app_id)
-                stored = self._database.add_apk(
-                    ApkRecord(
-                        store=self._api.store_name,
-                        app_id=apk.app_id,
-                        version_name=apk.version_name,
-                        package_name=apk.package_name,
-                        size_mb=apk.size_mb,
-                        embedded_libraries=apk.embedded_libraries,
-                    )
-                )
-                if stored:
-                    self.stats.apks_fetched += 1
-
-            if fetch_comments and page.statistics.comment_count > 0:
-                comments = self._request(self._api.app_comments, app_id)
-                self._database.add_comments(self._api.store_name, comments)
-                self.stats.comments_fetched += len(comments)
+        api = self._api
+        app_ids = self._drive(listing_walk(api))
+        known_apks = self._database.latest_apk_per_app(api.store_name)
+        observations = [
+            self._drive(app_visit(api, app_id, known_apks, fetch_comments, self.stats))
+            for app_id in app_ids
+        ]
+        committed = commit_day(self._database, api.store_name, day, observations)
+        self.stats.apks_fetched += committed.apks_stored
+        self.stats.comments_fetched += committed.comments_offered
         return len(app_ids)

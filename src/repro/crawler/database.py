@@ -3,8 +3,9 @@
 The paper's crawlers write every observation to a local database: per-app
 daily statistics, all user comments, and every APK version.  This module
 is that database's façade over the out-of-core columnar engine in
-:mod:`repro.store`.  The crawler writes through it as dataclasses; the
-analyses read columns (:meth:`SnapshotDatabase.snapshot_columns`,
+:mod:`repro.store`.  The crawler lands each crawled day in the engine as
+bulk appends (:func:`repro.crawler.crawler.commit_day`); the analyses
+read columns (:meth:`SnapshotDatabase.snapshot_columns`,
 :meth:`SnapshotDatabase.download_matrix`, the chunks themselves), and
 the row-shaped queries (:meth:`SnapshotDatabase.snapshots_on`,
 :meth:`SnapshotDatabase.snapshot`) stay for tests and tools that want
@@ -32,10 +33,11 @@ column, app) at which two databases' columns part.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -164,53 +166,6 @@ class SnapshotDatabase:
     def columnar(self) -> ColumnarStore:
         """The backing columnar engine (column-shaped access)."""
         return self._store
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-
-    def add_snapshot(self, snapshot: AppSnapshot) -> None:
-        """Insert or overwrite one (store, day, app) observation."""
-        self._store.add_snapshot_row(
-            snapshot.store,
-            snapshot.day,
-            snapshot.app_id,
-            snapshot.name,
-            snapshot.category,
-            snapshot.developer_id,
-            snapshot.price,
-            snapshot.declares_ads,
-            snapshot.total_downloads,
-            snapshot.rating_count,
-            snapshot.average_rating,
-            snapshot.comment_count,
-            snapshot.version_name,
-        )
-
-    def add_comments(self, store: str, comments: Iterable[Comment]) -> None:
-        """Append comments, de-duplicating observations across daily crawls.
-
-        The crawler re-fetches every comment page daily; only comments not
-        yet recorded are added (identity = user, app, day, rating).
-        """
-        for comment in comments:
-            self._store.add_comment_row(
-                store, comment.user_id, comment.app_id, comment.day, comment.rating
-            )
-
-    def add_apk(self, apk: ApkRecord) -> bool:
-        """Archive an APK version; returns False when already stored.
-
-        The paper downloads each app version exactly once.
-        """
-        return self._store.add_apk_row(
-            apk.store,
-            apk.app_id,
-            apk.version_name,
-            apk.package_name,
-            apk.size_mb,
-            tuple(apk.embedded_libraries),
-        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -540,23 +495,59 @@ class SnapshotDatabase:
             return cls(columnar=open_store(path))
         database = cls()
         with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                kind = record.pop("kind")
-                if kind == "snapshot":
-                    database.add_snapshot(AppSnapshot(**record))
-                elif kind == "comment":
-                    store = record.pop("store")
-                    database.add_comments(store, [Comment(**record)])
-                elif kind == "apk":
-                    record.pop("seq", None)
-                    record["embedded_libraries"] = tuple(
-                        record["embedded_libraries"]
-                    )
-                    database.add_apk(ApkRecord(**record))
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
+            records = (json.loads(line) for line in handle if line.strip())
+            for key, run in itertools.groupby(records, key=_run_key):
+                while batch := list(itertools.islice(run, _LOAD_BATCH)):
+                    _land_records(database._store, key, batch)
         return database
+
+
+#: Each JSONL record kind's fields besides ``kind``, ``store`` and a
+#: snapshot's ``day``, in the order its bulk append takes them.
+_ROW_FIELDS = {
+    "snapshot": tuple(
+        field.name for field in fields(AppSnapshot) if field.name not in ("store", "day")
+    ),
+    "comment": ("user_id", "app_id", "day", "rating"),
+    "apk": tuple(field.name for field in fields(ApkRecord) if field.name != "store"),
+}
+#: The fields each record kind must carry.  An APK record may also carry
+#: its archive ``seq``, which loading re-assigns.
+_RECORD_FIELDS = {kind: {"kind", "store", *names} for kind, names in _ROW_FIELDS.items()}
+_RECORD_FIELDS["snapshot"].add("day")
+#: Records per bulk append when loading JSONL, so a long run (one
+#: store's comments) never sits in memory whole.
+_LOAD_BATCH = 1 << 16
+
+
+def _run_key(record: dict) -> Tuple[str, str, Optional[int]]:
+    """The bulk append a JSONL record joins: its kind, store and, for a
+    snapshot, day.  Raises on an unknown kind or a missing or extra
+    field, so a malformed file never loads as something else."""
+    kind = record.get("kind")
+    if kind not in _RECORD_FIELDS:
+        raise ValueError(f"unknown record kind {kind!r}")
+    present = record.keys() - {"seq"} if kind == "apk" else record.keys()
+    if present != _RECORD_FIELDS[kind]:
+        raise ValueError(
+            f"{kind} record fields {sorted(record)} differ from "
+            f"{sorted(_RECORD_FIELDS[kind])}"
+        )
+    return kind, record["store"], record["day"] if kind == "snapshot" else None
+
+
+def _land_records(
+    columnar: ColumnarStore, key: Tuple[str, str, Optional[int]], records: List[dict]
+) -> None:
+    """Append one batch of same-key JSONL records in file order."""
+    kind, store, day = key
+    names = _ROW_FIELDS[kind]
+    if kind == "snapshot":
+        columns = {name: [record[name] for record in records] for name in names}
+        columnar.extend_snapshots(store, day, columns)
+        return
+    rows = [tuple(record[name] for name in names) for record in records]
+    if kind == "comment":
+        columnar.extend_comments(store, rows)
+    else:
+        columnar.extend_apks(store, rows)

@@ -11,7 +11,7 @@ embeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,14 +131,26 @@ class AdEcosystem:
         return tuple(libraries)
 
 
+_NETWORK_RANKS = {network: rank for rank, network in enumerate(TOP_AD_NETWORKS)}
+
+
+def ad_network_of(library: str) -> Optional[str]:
+    """The top-20 ad network a library is, or is a sub-package of (e.g.
+    "com.adrift.sdk.banner"), or None; the earliest in
+    :data:`TOP_AD_NETWORKS` order when several match.
+
+    Checks each dotted prefix of the library, the whole name first.
+    """
+    best = None
+    end = len(library)
+    while end >= 0:
+        rank = _NETWORK_RANKS.get(library[:end])
+        if rank is not None and (best is None or rank < best):
+            best = rank
+        end = library.rfind(".", 0, end)
+    return None if best is None else TOP_AD_NETWORKS[best]
+
+
 def contains_ad_network(libraries: Sequence[str]) -> bool:
     """Whether a library list contains any top-20 ad network prefix."""
-    networks = set(TOP_AD_NETWORKS)
-    for library in libraries:
-        if library in networks:
-            return True
-        # Sub-packages of an ad SDK (e.g. "com.adrift.sdk.banner") count.
-        for network in TOP_AD_NETWORKS:
-            if library.startswith(network + "."):
-                return True
-    return False
+    return any(ad_network_of(library) is not None for library in libraries)

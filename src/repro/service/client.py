@@ -3,54 +3,41 @@
 Each client wraps one :class:`~repro.crawler.requesting.RequestEngine`
 -- its own pacer, retry RNG, and per-proxy circuit breakers, exactly
 like one batch :class:`~repro.crawler.crawler.StoreCrawler` -- and
-drives the engine's sans-IO step generators with ``asyncio.sleep`` on
+drives the batch crawler's own request sequences
+(:func:`~repro.crawler.crawler.listing_walk`,
+:func:`~repro.crawler.crawler.app_visit`): each request they yield runs
+through the engine's sans-IO step generator with ``asyncio.sleep`` on
 the event loop's clock.  On the virtual-clock loop
 (:mod:`repro.service.virtualtime`) those sleeps are instantaneous and
 deterministic; on a real loop they would pace actual wall time.  The
 engine neither knows nor cares.
 
 Clients fetch; they do not write.  Every observation is returned to the
-:class:`~repro.service.service.EcosystemService`, which commits them in
-listing order so the database and analytics stream are independent of
-how many clients raced to produce them.
+:class:`~repro.service.service.EcosystemService`, which commits the day
+in listing order so the database and analytics stream are independent
+of how many clients raced to produce them.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Generator, Optional
 
-from repro.crawler.crawler import CrawlStats
-from repro.crawler.database import ApkRecord
+from repro.crawler.crawler import CrawlStats, Request
 from repro.crawler.proxies import ProxyPool
 from repro.crawler.requesting import RequestEngine
-from repro.crawler.webapi import ApkDownload, AppPage, StoreWebApi
-from repro.marketplace.entities import Comment
+from repro.crawler.webapi import StoreWebApi
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultInjector
 from repro.resilience.retry import RetryPolicy
 from repro.stats.rng import SeedLike, make_rng
 
-__all__ = ["AppObservation", "AsyncCrawlClient", "REQUEST_LATENCY_METRIC"]
+__all__ = ["AsyncCrawlClient", "REQUEST_LATENCY_METRIC"]
 
 #: Histogram of end-to-end request latency in *simulated* seconds
 #: (retries and backoff included), recorded per completed request.
 REQUEST_LATENCY_METRIC = "service.request_seconds"
-
-
-@dataclass(frozen=True)
-class AppObservation:
-    """Everything one client fetched about one app on one day.
-
-    ``apk`` is None when the version was already archived; ``comments``
-    is None when comment collection was off or the app had none.
-    """
-
-    page: AppPage
-    apk: Optional[ApkDownload]
-    comments: Optional[List[Comment]]
 
 
 class AsyncCrawlClient:
@@ -77,7 +64,6 @@ class AsyncCrawlClient:
     ) -> None:
         self.name = name
         self.stats = CrawlStats()
-        self._api = api
         self._metrics = metrics if metrics is not None else get_registry()
         self._engine = RequestEngine(
             api=api,
@@ -121,32 +107,11 @@ class AsyncCrawlClient:
             )
             return done.value
 
-    async def process_app(
-        self,
-        app_id: int,
-        observed_day: int,
-        known_apks: Dict[int, ApkRecord],
-        fetch_comments: bool = True,
-    ) -> AppObservation:
-        """Fetch one app's page, new APK version, and comments.
-
-        The request sequence per app is the batch crawler's: statistics
-        page, then the APK only when ``known_apks`` (the archive state
-        at the start of the day) lacks this version, then comments only
-        when the page advertises any.  ``observed_day`` is not used for
-        fetching -- the store serves its current day -- but is part of
-        the contract: callers must hold the store on that day while
-        workers run.
-        """
-        page = await self.request(self._api.app_page, app_id)
-        self.stats.apps_crawled += 1
-
-        apk: Optional[ApkDownload] = None
-        known = known_apks.get(app_id)
-        if known is None or known.version_name != page.statistics.version_name:
-            apk = await self.request(self._api.download_apk, app_id)
-
-        comments: Optional[List[Comment]] = None
-        if fetch_comments and page.statistics.comment_count > 0:
-            comments = await self.request(self._api.app_comments, app_id)
-        return AppObservation(page=page, apk=apk, comments=comments)
+    async def drive(self, sequence: Generator[Request, object, object]):
+        """Run a crawl sequence's requests one by one; returns its value."""
+        try:
+            endpoint, args = next(sequence)
+            while True:
+                endpoint, args = sequence.send(await self.request(endpoint, *args))
+        except StopIteration as done:
+            return done.value

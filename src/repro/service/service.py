@@ -42,7 +42,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.streaming import SegmentDownloadShares, StreamingAnalytics
-from repro.crawler.crawler import CrawlStats
+from repro.crawler.crawler import (
+    AppObservation,
+    CrawlStats,
+    app_visit,
+    commit_day,
+    listing_walk,
+)
 from repro.crawler.database import ApkRecord, SnapshotDatabase
 from repro.crawler.proxies import ProxyPool
 from repro.crawler.scheduler import _GEO_FENCED_STORES
@@ -53,7 +59,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.resilience.errors import ResilienceError, WorkerCrashed
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.retry import RetryPolicy
-from repro.service.client import AppObservation, AsyncCrawlClient
+from repro.service.client import AsyncCrawlClient
 from repro.service.virtualtime import run_virtual
 from repro.stats.rng import SeedLike, derive_seed, make_rng
 
@@ -316,11 +322,7 @@ class EcosystemService:
         day leaves no stray tasks behind.
         """
         loop = asyncio.get_running_loop()
-        discoverer = self.clients[0]
-        n_pages = await discoverer.request(self.api.n_pages)
-        app_ids: List[int] = []
-        for page in range(n_pages):
-            app_ids.extend(await discoverer.request(self.api.list_page, page))
+        app_ids = await self.clients[0].drive(listing_walk(self.api))
 
         # The APK-archive state each worker consults is pinned at the
         # start of the day, as in the batch crawler, so the fetch-once
@@ -335,7 +337,7 @@ class EcosystemService:
         results: List[Tuple[int, AppObservation]] = []
         tasks = [
             loop.create_task(
-                self._worker(client, queue, observed_day, known_apks, results),
+                self._worker(client, queue, known_apks, results),
                 name=f"{client.name}/day-{observed_day}",
             )
             for client in self.clients
@@ -358,7 +360,6 @@ class EcosystemService:
         self,
         client: AsyncCrawlClient,
         queue: "asyncio.Queue[Tuple[int, int]]",
-        observed_day: int,
         known_apks: Dict[int, ApkRecord],
         results: List[Tuple[int, AppObservation]],
     ) -> None:
@@ -368,73 +369,35 @@ class EcosystemService:
                 index, app_id = queue.get_nowait()
             except asyncio.QueueEmpty:
                 return
-            observation = await client.process_app(
-                app_id,
-                observed_day,
-                known_apks,
-                fetch_comments=self.fetch_comments,
+            observation = await client.drive(
+                app_visit(
+                    self.api, app_id, known_apks, self.fetch_comments, client.stats
+                )
             )
             results.append((index, observation))
 
     def _commit_day(
         self, observed_day: int, observations: List[Tuple[int, AppObservation]]
     ) -> None:
-        """Land one completed day: database writes plus analytics.
+        """Land one completed day: the crawler's day commit plus analytics.
 
         Commits run in listing order regardless of which client finished
         first, which keeps the write stream -- and everything derived
-        from it -- identical across client counts.  The day's pages land
-        as one columnar append and one streaming fold; APKs and comments
-        follow app by app.  A page's version is interned before its
-        APK's (the same string), so the shared ``versions`` table grows
-        in the same order as with per-app writes.
+        from it -- identical across client counts.
         """
-        data = self.data_metrics
-        store_name = self.store.name
         ordered = [
             observation
             for _, observation in sorted(observations, key=lambda pair: pair[0])
         ]
-        pages = [observation.page for observation in ordered]
-        statistics = [page.statistics for page in pages]
-        app_ids = [page.app_id for page in pages]
-        totals = [stats.total_downloads for stats in statistics]
-        self.database.columnar.extend_snapshots(
-            store_name,
+        committed = commit_day(self.database, self.store.name, observed_day, ordered)
+        data = self.data_metrics
+        data.counter("service.snapshots_committed").add(committed.pages)
+        self.analytics.observe_day(
             observed_day,
-            {
-                "app_id": app_ids,
-                "name": [page.name for page in pages],
-                "category": [page.category for page in pages],
-                "developer_id": [page.developer_id for page in pages],
-                "price": [page.price for page in pages],
-                "declares_ads": [page.declares_ads for page in pages],
-                "total_downloads": totals,
-                "rating_count": [stats.rating_count for stats in statistics],
-                "average_rating": [stats.average_rating for stats in statistics],
-                "comment_count": [stats.comment_count for stats in statistics],
-                "version_name": [stats.version_name for stats in statistics],
-            },
+            [observation.page.app_id for observation in ordered],
+            [observation.page.statistics.total_downloads for observation in ordered],
         )
-        data.counter("service.snapshots_committed").add(len(pages))
-        self.analytics.observe_day(observed_day, app_ids, totals)
-        for observation in ordered:
-            if observation.apk is not None:
-                apk = observation.apk
-                stored = self.database.add_apk(
-                    ApkRecord(
-                        store=store_name,
-                        app_id=apk.app_id,
-                        version_name=apk.version_name,
-                        package_name=apk.package_name,
-                        size_mb=apk.size_mb,
-                        embedded_libraries=apk.embedded_libraries,
-                    )
-                )
-                if stored:
-                    data.counter("service.apks_archived").add(1)
-            if observation.comments is not None:
-                self.database.add_comments(store_name, observation.comments)
-                data.counter("service.comments_ingested").add(
-                    len(observation.comments)
-                )
+        if committed.apks_stored:
+            data.counter("service.apks_archived").add(committed.apks_stored)
+        if committed.comments_offered:
+            data.counter("service.comments_ingested").add(committed.comments_offered)

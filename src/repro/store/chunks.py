@@ -1,8 +1,8 @@
 """Append buffers and sealed chunks: the store's write and read units.
 
-Writes accumulate in plain-list **append buffers** (one Python append per
-row is the price of a row-at-a-time crawler API; everything downstream
-is arrays).  A buffer **seals** into an immutable chunk: columns become
+Writes accumulate in plain-list **append buffers** (a crawled day lands
+as one bulk extend per column; everything downstream is arrays).  A
+buffer **seals** into an immutable chunk: columns become
 numpy arrays, snapshot rows are stable-sorted by ``app_id`` with
 last-write-wins de-duplication (re-crawls overwrite), and the arrays are
 frozen (``writeable = False``) so query paths can hand them out
@@ -16,7 +16,7 @@ dataset's resident set tiny (see :mod:`repro.store.disk`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -191,11 +191,13 @@ class AppendLog:
     def __len__(self) -> int:
         return self._base_rows + self._sealed_rows + self._buffered
 
-    def append_row(self, values: Tuple) -> None:
-        """Append one row given in schema column order."""
-        for name, value in zip(self.schema, values):
-            self._buffers[name].append(value)
-        self._buffered += 1
+    def append_rows(self, rows: List[Tuple]) -> None:
+        """Append rows, each given in schema column order."""
+        if not rows:
+            return
+        for name, values in zip(self.schema, zip(*rows)):
+            self._buffers[name].extend(values)
+        self._buffered += len(rows)
         self._cache = None
 
     def _load_base(self) -> Optional[Dict[str, np.ndarray]]:
@@ -270,15 +272,19 @@ class CommentLog(AppendLog):
         )
         self._seen_hydrated = True
 
-    def add(self, user_id: int, app_id: int, day: int, rating: int) -> bool:
-        """Append one comment unless its identity key was already seen."""
+    def extend(self, rows: Iterable[Tuple[int, int, int, int]]) -> int:
+        """Append ``(user_id, app_id, day, rating)`` rows in order, each
+        only on the first sight of its identity key, whether the key came
+        earlier in ``rows`` or in an earlier call; returns rows kept."""
         self._hydrate_seen()
-        key = (user_id, app_id, day, rating)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self.append_row((user_id, app_id, day, rating))
-        return True
+        seen = self._seen
+        fresh = []
+        for key in rows:
+            if key not in seen:
+                seen.add(key)
+                fresh.append(key)
+        self.append_rows(fresh)
+        return len(fresh)
 
 
 class ApkLog(AppendLog):
@@ -304,21 +310,21 @@ class ApkLog(AppendLog):
         )
         self._keys_hydrated = True
 
-    def add(
-        self,
-        app_id: int,
-        version_id: int,
-        package_id: int,
-        size_mb: float,
-        libset_id: int,
-    ) -> bool:
-        """Archive one (app, version); False when already archived."""
+    def extend(self, rows: Iterable[Tuple[int, int, int, float, int]]) -> int:
+        """Archive ``(app_id, version_id, package_id, size_mb, libset_id)``
+        rows in order, each (app, version) at most once; kept rows take
+        the next sequence numbers.  Returns rows kept."""
         self._hydrate_keys()
-        key = (app_id, version_id)
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        seq = self._next_seq
-        self._next_seq += 1
-        self.append_row((app_id, version_id, package_id, size_mb, libset_id, seq))
-        return True
+        keys = self._keys
+        fresh = []
+        for app_id, version_id, package_id, size_mb, libset_id in rows:
+            key = (app_id, version_id)
+            if key in keys:
+                continue
+            keys.add(key)
+            fresh.append(
+                (app_id, version_id, package_id, size_mb, libset_id, self._next_seq)
+            )
+            self._next_seq += 1
+        self.append_rows(fresh)
+        return len(fresh)

@@ -129,37 +129,6 @@ class ColumnarStore:
             self._buffers[(store, day)] = buffers
         return buffers
 
-    def add_snapshot_row(
-        self,
-        store: str,
-        day: int,
-        app_id: int,
-        name: str,
-        category: str,
-        developer_id: int,
-        price: float,
-        declares_ads: bool,
-        total_downloads: int,
-        rating_count: int,
-        average_rating: float,
-        comment_count: int,
-        version_name: str,
-    ) -> None:
-        """Buffer one (store, day, app) observation."""
-        buffers = self._snapshot_buffers(store, day)
-        buffers["app_id"].append(app_id)
-        buffers["name_id"].append(self.names.intern(name))
-        buffers["category_id"].append(self.categories.intern(category))
-        buffers["developer_id"].append(developer_id)
-        buffers["price"].append(price)
-        buffers["declares_ads"].append(declares_ads)
-        buffers["total_downloads"].append(total_downloads)
-        buffers["rating_count"].append(rating_count)
-        buffers["average_rating"].append(average_rating)
-        buffers["comment_count"].append(comment_count)
-        buffers["version_id"].append(self.versions.intern(version_name))
-        get_registry().counter("store.rows_ingested.snapshots").add(1)
-
     def extend_snapshots(
         self, store: str, day: int, columns: Mapping[str, Sequence]
     ) -> None:
@@ -169,10 +138,9 @@ class ColumnarStore:
         An intern-id column may come as ids from this store's tables
         (``name_id``, ``category_id``, ``version_id``) or as its strings
         (``name``, ``category``, ``version_name``).  Strings are interned
-        in row order, so the rows encode exactly as the same rows added
-        one at a time through :meth:`add_snapshot_row`.  Zero rows add
-        nothing: no buffer, so no crawled day that a JSONL copy (one
-        line per row) would not have.
+        in row order, so a day encodes the same whether it lands in one
+        call or row by row.  Zero rows add nothing: no buffer, so no
+        crawled day that a JSONL copy (one line per row) would not have.
         """
         strings = {
             "name_id": ("name", self.names),
@@ -200,43 +168,53 @@ class ColumnarStore:
             buffers[column].extend(values)
         get_registry().counter("store.rows_ingested.snapshots").add(n_rows)
 
-    def add_comment_row(
-        self, store: str, user_id: int, app_id: int, day: int, rating: int
-    ) -> bool:
-        """Append one comment; False when the identity key was seen."""
+    def extend_comments(
+        self, store: str, rows: Sequence[Tuple[int, int, int, int]]
+    ) -> int:
+        """Append ``(user_id, app_id, day, rating)`` rows to a store's log.
+
+        A row is kept on the first sight of its identity (the whole
+        tuple), in this call or an earlier one, so first-seen order
+        survives.  Returns rows kept; zero rows add nothing, not even an
+        empty log.
+        """
+        if not rows:
+            return 0
         log = self._comments.get(store)
         if log is None:
-            log = CommentLog(store)
-            self._comments[store] = log
-        added = log.add(user_id, app_id, day, rating)
-        if added:
-            get_registry().counter("store.rows_ingested.comments").add(1)
-        return added
+            log = self._comments[store] = CommentLog(store)
+        kept = log.extend(rows)
+        if kept:
+            get_registry().counter("store.rows_ingested.comments").add(kept)
+        return kept
 
-    def add_apk_row(
-        self,
-        store: str,
-        app_id: int,
-        version_name: str,
-        package_name: str,
-        size_mb: float,
-        embedded_libraries: Tuple[str, ...],
-    ) -> bool:
-        """Archive one APK version; False when already archived."""
+    def extend_apks(
+        self, store: str, rows: Sequence[Tuple[int, str, str, float, Tuple[str, ...]]]
+    ) -> int:
+        """Archive ``(app_id, version_name, package_name, size_mb,
+        embedded_libraries)`` rows, each (app, version) at most once.
+
+        Every row's strings are interned in row order, kept or not, and
+        kept rows take sequence numbers in row order.  Returns rows kept;
+        zero rows add nothing.
+        """
+        if not rows:
+            return 0
         log = self._apks.get(store)
         if log is None:
-            log = ApkLog(store)
-            self._apks[store] = log
-        added = log.add(
-            app_id,
-            self.versions.intern(version_name),
-            self.packages.intern(package_name),
-            size_mb,
-            self.libsets.intern(tuple(embedded_libraries)),
+            log = self._apks[store] = ApkLog(store)
+        versions, packages = self.versions.intern, self.packages.intern
+        libsets = self.libsets.intern
+        kept = log.extend(
+            [
+                (app_id, versions(version), packages(package), size_mb,
+                 libsets(tuple(libraries)))
+                for app_id, version, package, size_mb, libraries in rows
+            ]
         )
-        if added:
-            get_registry().counter("store.rows_ingested.apks").add(1)
-        return added
+        if kept:
+            get_registry().counter("store.rows_ingested.apks").add(kept)
+        return kept
 
     # ------------------------------------------------------------------
     # Sealing

@@ -1,5 +1,6 @@
 """Tests for repro.analysis.adlib (the ad-library scanner)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.adlib import (
@@ -8,6 +9,7 @@ from repro.analysis.adlib import (
     scan_store_for_ads,
 )
 from repro.crawler.database import ApkRecord
+from repro.marketplace.ads import TOP_AD_NETWORKS, UTILITY_LIBRARIES
 
 
 def apk(app_id, libraries, version="1.0"):
@@ -58,6 +60,36 @@ class TestScanApks:
         result = scan_apks("s", [])
         assert result.ad_fraction == 0.0
         assert result.n_scanned == 0
+
+    def test_matches_per_library_scan(self):
+        """Flags and counts, key order included, equal a scan that tests
+        every library of every APK against the catalog in order."""
+        rng = np.random.default_rng(11)
+        names = list(TOP_AD_NETWORKS) + list(UTILITY_LIBRARIES)
+        names += [network + ".banner" for network in TOP_AD_NETWORKS[:5]]
+        names += [network + "x" for network in TOP_AD_NETWORKS[:5]]
+        libsets = [
+            tuple(names[int(i)] for i in rng.integers(0, len(names), int(size)))
+            for size in rng.integers(0, 4, 12)
+        ]
+        records = [
+            apk(int(app), libsets[int(index)], version=str(version))
+            for version, (app, index) in enumerate(
+                zip(rng.integers(0, 15, 60), rng.integers(0, len(libsets), 60))
+            )
+        ]
+        per_app, counts = {}, {}
+        for record in records:
+            per_app[record.app_id] = False
+            for library in record.embedded_libraries:
+                for network in TOP_AD_NETWORKS:
+                    if library == network or library.startswith(network + "."):
+                        per_app[record.app_id] = True
+                        counts[network] = counts.get(network, 0) + 1
+                        break
+        result = scan_apks("s", records)
+        assert result.per_app == per_app
+        assert list(result.network_counts.items()) == list(counts.items())
 
 
 class TestScanStore:

@@ -48,11 +48,11 @@ class TestDatasetSummary:
 
     def test_requires_two_days(self, demo_campaign):
         from repro.crawler.database import SnapshotDatabase
+        from tests.rows import add_snapshots
 
         single_day = SnapshotDatabase()
         store = demo_campaign.store_name
         day = demo_campaign.first_crawl_day
-        for snapshot in demo_campaign.database.snapshots_on(store, day):
-            single_day.add_snapshot(snapshot)
+        add_snapshots(single_day, demo_campaign.database.snapshots_on(store, day))
         with pytest.raises(ValueError):
             dataset_summary(single_day)

@@ -45,11 +45,11 @@ class TestGrowthSeries:
 
     def test_needs_two_days(self, demo_campaign):
         from repro.crawler.database import SnapshotDatabase
+        from tests.rows import add_snapshots
 
         single = SnapshotDatabase()
         day = demo_campaign.first_crawl_day
-        for snapshot in demo_campaign.database.snapshots_on("demo", day):
-            single.add_snapshot(snapshot)
+        add_snapshots(single, demo_campaign.database.snapshots_on("demo", day))
         with pytest.raises(ValueError):
             growth_series(single, "demo")
 

@@ -11,6 +11,7 @@ from repro.analysis.pricing_study import (
     segment_pricing_study,
 )
 from repro.crawler.database import AppSnapshot, SnapshotDatabase
+from tests.rows import add_snapshots
 
 
 def _snapshot(app_id, price, downloads, day=0, store="gapped"):
@@ -33,8 +34,13 @@ def _snapshot(app_id, price, downloads, day=0, store="gapped"):
 
 def _database(prices_and_downloads):
     database = SnapshotDatabase()
-    for app_id, (price, downloads) in enumerate(prices_and_downloads):
-        database.add_snapshot(_snapshot(app_id, price, downloads))
+    add_snapshots(
+        database,
+        [
+            _snapshot(app_id, price, downloads)
+            for app_id, (price, downloads) in enumerate(prices_and_downloads)
+        ],
+    )
     return database
 
 

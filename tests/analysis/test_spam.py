@@ -8,6 +8,7 @@ from repro.analysis.spam import (
 )
 from repro.crawler.database import SnapshotDatabase
 from repro.marketplace.entities import Comment
+from tests.rows import add_comments
 
 
 def build_database(streams):
@@ -20,7 +21,7 @@ def build_database(streams):
             comments.append(
                 Comment(user_id=user_id, app_id=app_id, day=day, rating=rating)
             )
-    database.add_comments("s", comments)
+    add_comments(database, "s", comments)
     return database
 
 

@@ -10,6 +10,7 @@ from repro.marketplace import build_store
 from repro.marketplace.profiles import demo_profile
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.errors import TransientFault
+from repro.resilience.retry import RetryPolicy
 
 
 @pytest.fixture()
@@ -37,7 +38,8 @@ def make_crawler(
     api = StoreWebApi(store, **api_kwargs)
     database = database if database is not None else SnapshotDatabase()
     proxy_pool = proxy_pool or ProxyPool.planetlab_like(n_proxies=20, seed=0)
-    return StoreCrawler(api, database, proxy_pool, max_retries=max_retries), database
+    retry_policy = RetryPolicy(max_attempts=max_retries)
+    return StoreCrawler(api, database, proxy_pool, retry_policy=retry_policy), database
 
 
 class TestCrawlDay:
@@ -173,7 +175,7 @@ class TestObservability:
             StoreWebApi(store),
             SnapshotDatabase(),
             pool,
-            max_retries=8,
+            retry_policy=RetryPolicy(max_attempts=8),
             metrics=registry,
         )
         with pytest.raises(CrawlError):
@@ -189,10 +191,11 @@ class TestObservability:
             == crawler.stats.breaker_skips
         )
 
-    def _crawler_with_poisoned_app(self, store, registry=None, **kwargs):
-        """A crawler whose API permanently fails one app's page."""
+    def _crawler_with_poisoned_app(self, store, victim=None, database=None):
+        """A crawler whose API permanently fails one app's page (the first
+        listed app's by default)."""
         api = StoreWebApi(store)
-        victim = store.listed_app_ids()[0]
+        victim = store.listed_app_ids()[0] if victim is None else victim
         original = api.app_page
 
         def poisoned_app_page(app_id, client, country, now):
@@ -203,30 +206,32 @@ class TestObservability:
         api.app_page = poisoned_app_page
         crawler = StoreCrawler(
             api,
-            SnapshotDatabase(),
+            database if database is not None else SnapshotDatabase(),
             ProxyPool.planetlab_like(n_proxies=20, seed=0),
-            max_retries=3,
-            metrics=registry,
-            **kwargs,
+            retry_policy=RetryPolicy(max_attempts=3),
         )
         return crawler
 
-    def test_dropped_page_is_counted(self, store):
-        """With drop_failed_pages, a doomed page costs one counted drop."""
-        registry = MetricsRegistry()
-        crawler = self._crawler_with_poisoned_app(
-            store, registry=registry, drop_failed_pages=True
-        )
-        listed = crawler.crawl_day(day=2)
-        assert listed == len(store.listed_app_ids())
-        assert crawler.stats.pages_dropped == 1
-        assert registry.counter("crawler.pages_dropped").value == 1
-        # Every other app was still observed.
-        assert crawler.stats.apps_crawled == listed - 1
-
     def test_without_drop_mode_the_day_still_fails(self, store):
-        """Default behaviour is unchanged: retry exhaustion aborts the day."""
+        """Retry exhaustion on one app's page aborts the whole day."""
         crawler = self._crawler_with_poisoned_app(store)
         with pytest.raises(CrawlError):
             crawler.crawl_day(day=2)
-        assert crawler.stats.pages_dropped == 0
+
+    def test_failed_day_leaves_no_rows(self, store):
+        """The day commits once every app is visited: when the last listed
+        app's page never arrives, no snapshot, APK or comment of the day
+        lands, although every earlier app was fetched."""
+        listed = store.listed_app_ids()
+        database = SnapshotDatabase()
+        crawler = self._crawler_with_poisoned_app(
+            store, victim=listed[-1], database=database
+        )
+        with pytest.raises(CrawlError):
+            crawler.crawl_day(day=2)
+        assert database.days(store.name) == []
+        assert database.snapshots_on(store.name, 2) == []
+        assert database.apks(store.name) == []
+        assert database.comments(store.name) == []
+        assert crawler.stats.apps_crawled == len(listed) - 1
+        assert crawler.stats.comments_fetched == crawler.stats.apks_fetched == 0

@@ -7,6 +7,7 @@ import pytest
 
 from repro.crawler.database import ApkRecord, AppSnapshot, SnapshotDatabase
 from repro.marketplace.entities import Comment
+from tests.rows import add_apks, add_comments, add_snapshots
 
 
 def snapshot(store="s", day=0, app_id=0, downloads=10, version="1.0", price=0.0):
@@ -41,7 +42,7 @@ def apk(store="s", app_id=0, version="1.0"):
 class TestSnapshots:
     def test_insert_and_query(self):
         database = SnapshotDatabase()
-        database.add_snapshot(snapshot(day=1, app_id=5))
+        add_snapshots(database, [snapshot(day=1, app_id=5)])
         assert database.stores() == ["s"]
         assert database.days("s") == [1]
         assert database.snapshot("s", 1, 5).app_id == 5
@@ -49,16 +50,21 @@ class TestSnapshots:
 
     def test_overwrite_same_key(self):
         database = SnapshotDatabase()
-        database.add_snapshot(snapshot(day=1, app_id=5, downloads=10))
-        database.add_snapshot(snapshot(day=1, app_id=5, downloads=20))
+        add_snapshots(database, [snapshot(day=1, app_id=5, downloads=10)])
+        add_snapshots(database, [snapshot(day=1, app_id=5, downloads=20)])
         assert database.snapshot("s", 1, 5).total_downloads == 20
         assert len(database.snapshots_on("s", 1)) == 1
 
     def test_download_vector_ordered_by_app_id(self):
         database = SnapshotDatabase()
-        database.add_snapshot(snapshot(day=0, app_id=2, downloads=30))
-        database.add_snapshot(snapshot(day=0, app_id=0, downloads=10))
-        database.add_snapshot(snapshot(day=0, app_id=1, downloads=20))
+        add_snapshots(
+            database,
+            [
+                snapshot(day=0, app_id=2, downloads=30),
+                snapshot(day=0, app_id=0, downloads=10),
+                snapshot(day=0, app_id=1, downloads=20),
+            ],
+        )
         assert database.download_vector("s", 0).tolist() == [10, 20, 30]
 
     def test_download_vector_missing_day(self):
@@ -68,20 +74,30 @@ class TestSnapshots:
 
     def test_download_deltas(self):
         database = SnapshotDatabase()
-        database.add_snapshot(snapshot(day=0, app_id=1, downloads=10))
-        database.add_snapshot(snapshot(day=5, app_id=1, downloads=25))
-        database.add_snapshot(snapshot(day=5, app_id=2, downloads=7))
+        add_snapshots(
+            database,
+            [
+                snapshot(day=0, app_id=1, downloads=10),
+                snapshot(day=5, app_id=1, downloads=25),
+                snapshot(day=5, app_id=2, downloads=7),
+            ],
+        )
         deltas = database.download_deltas("s", 0, 5)
         assert deltas[1] == 15
         assert deltas[2] == 7  # new app counted from zero
 
     def test_update_counts(self):
         database = SnapshotDatabase()
-        database.add_snapshot(snapshot(day=0, app_id=1, version="1.0"))
-        database.add_snapshot(snapshot(day=1, app_id=1, version="1.1"))
-        database.add_snapshot(snapshot(day=2, app_id=1, version="1.2"))
-        database.add_snapshot(snapshot(day=0, app_id=2, version="1.0"))
-        database.add_snapshot(snapshot(day=2, app_id=2, version="1.0"))
+        add_snapshots(
+            database,
+            [
+                snapshot(day=0, app_id=1, version="1.0"),
+                snapshot(day=1, app_id=1, version="1.1"),
+                snapshot(day=2, app_id=1, version="1.2"),
+                snapshot(day=0, app_id=2, version="1.0"),
+                snapshot(day=2, app_id=2, version="1.0"),
+            ],
+        )
         counts = database.update_counts("s", 0, 2)
         assert counts[1] == 2
         assert counts[2] == 0
@@ -93,15 +109,18 @@ class TestSnapshots:
         versions = [f"{major}.{minor}" for major in range(3) for minor in range(4)]
         for day in range(12):
             observed = rng.choice(60, size=rng.integers(10, 40), replace=False)
-            for app_id in observed.tolist():
-                database.add_snapshot(
+            add_snapshots(
+                database,
+                [
                     snapshot(
                         day=day,
                         app_id=app_id,
                         downloads=int(rng.integers(0, 10**6)),
                         version=versions[int(rng.integers(len(versions)))],
                     )
-                )
+                    for app_id in observed.tolist()
+                ],
+            )
 
         def rescan(first_day, last_day):
             seen = {}
@@ -124,13 +143,14 @@ class TestComments:
     def test_deduplication(self):
         database = SnapshotDatabase()
         comment = Comment(user_id=1, app_id=2, day=3, rating=4)
-        database.add_comments("s", [comment])
-        database.add_comments("s", [comment])  # daily re-crawl
+        add_comments(database, "s", [comment])
+        add_comments(database, "s", [comment])  # daily re-crawl
         assert len(database.comments("s")) == 1
 
     def test_streams_chronological(self):
         database = SnapshotDatabase()
-        database.add_comments(
+        add_comments(
+            database,
             "s",
             [
                 Comment(user_id=1, app_id=5, day=9, rating=3),
@@ -146,15 +166,14 @@ class TestComments:
 class TestApks:
     def test_version_stored_once(self):
         database = SnapshotDatabase()
-        assert database.add_apk(apk(version="1.0"))
-        assert not database.add_apk(apk(version="1.0"))
-        assert database.add_apk(apk(version="1.1"))
+        assert add_apks(database, [apk(version="1.0")])
+        assert not add_apks(database, [apk(version="1.0")])
+        assert add_apks(database, [apk(version="1.1")])
         assert len(database.apks("s")) == 2
 
     def test_latest_apk_per_app(self):
         database = SnapshotDatabase()
-        database.add_apk(apk(app_id=1, version="1.0"))
-        database.add_apk(apk(app_id=1, version="1.1"))
+        add_apks(database, [apk(app_id=1, version="1.0"), apk(app_id=1, version="1.1")])
         latest = database.latest_apk_per_app("s")
         assert latest[1].version_name == "1.1"
 
@@ -163,10 +182,15 @@ class TestApks:
         number keeps that true across JSONL and packed round trips even
         when archive order disagrees with version-string order."""
         database = SnapshotDatabase()
-        database.add_apk(apk(app_id=1, version="2.0"))
-        database.add_apk(apk(app_id=1, version="1.5"))  # archived later
-        database.add_apk(apk(app_id=2, version="0.9"))
-        database.add_apk(apk(app_id=2, version="0.10"))
+        add_apks(
+            database,
+            [
+                apk(app_id=1, version="2.0"),
+                apk(app_id=1, version="1.5"),  # archived later
+                apk(app_id=2, version="0.9"),
+                apk(app_id=2, version="0.10"),
+            ],
+        )
         expected = {1: "1.5", 2: "0.10"}
 
         def latest_versions(db):
@@ -186,8 +210,7 @@ class TestApks:
 
     def test_apk_seq_written_to_jsonl_but_not_fingerprint(self, tmp_path):
         database = SnapshotDatabase()
-        database.add_apk(apk(app_id=3, version="1.0"))
-        database.add_apk(apk(app_id=3, version="1.1"))
+        add_apks(database, [apk(app_id=3, version="1.0"), apk(app_id=3, version="1.1")])
         path = tmp_path / "crawl.jsonl"
         database.save(path)
         records = [
@@ -201,10 +224,15 @@ class TestApks:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         database = SnapshotDatabase()
-        database.add_snapshot(snapshot(day=0, app_id=1, downloads=10))
-        database.add_snapshot(snapshot(day=1, app_id=1, downloads=20))
-        database.add_comments("s", [Comment(user_id=1, app_id=1, day=0, rating=5)])
-        database.add_apk(apk())
+        add_snapshots(
+            database,
+            [
+                snapshot(day=0, app_id=1, downloads=10),
+                snapshot(day=1, app_id=1, downloads=20),
+            ],
+        )
+        add_comments(database, "s", [Comment(user_id=1, app_id=1, day=0, rating=5)])
+        add_apks(database, [apk()])
         path = tmp_path / "crawl.jsonl"
         database.save(path)
 
@@ -218,4 +246,20 @@ class TestPersistence:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "mystery"}\n', encoding="utf-8")
         with pytest.raises(ValueError):
+            SnapshotDatabase.load(path)
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_load_rejects_a_snapshot_with_other_fields(self, tmp_path, change):
+        database = SnapshotDatabase()
+        add_snapshots(database, [snapshot(day=0, app_id=1), snapshot(day=0, app_id=2)])
+        path = tmp_path / "crawl.jsonl"
+        database.save(path)
+        first, second = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(second)
+        if change == "missing":
+            del record["price"]
+        else:
+            record["colour"] = "red"
+        path.write_text(first + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="snapshot record fields"):
             SnapshotDatabase.load(path)

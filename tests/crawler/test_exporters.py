@@ -14,6 +14,7 @@ from repro.crawler.exporters import (
     export_snapshots_csv,
 )
 from repro.marketplace.entities import Comment
+from tests.rows import add_apks, add_comments, add_snapshots
 
 
 class TestSnapshotExport:
@@ -68,13 +69,9 @@ class TestCommentExport:
 def reference_database():
     """Two stores exercising every formatted field (prices, ads, floats)."""
     database = SnapshotDatabase()
-    for store, day, app_id, price, ads, rating in [
-        ("alpha", 0, 2, 0.0, False, 4.12345),
-        ("alpha", 0, 1, 0.99, True, 0.0),
-        ("alpha", 3, 1, 0.99, True, 3.5),
-        ("beta", 1, 9, 2.5, False, 2.0),
-    ]:
-        database.add_snapshot(
+    add_snapshots(
+        database,
+        [
             AppSnapshot(
                 store=store,
                 day=day,
@@ -90,33 +87,42 @@ def reference_database():
                 comment_count=day,
                 version_name=f"{day}.0",
             )
-        )
-    database.add_comments(
+            for store, day, app_id, price, ads, rating in [
+                ("alpha", 0, 2, 0.0, False, 4.12345),
+                ("alpha", 0, 1, 0.99, True, 0.0),
+                ("alpha", 3, 1, 0.99, True, 3.5),
+                ("beta", 1, 9, 2.5, False, 2.0),
+            ]
+        ],
+    )
+    add_comments(
+        database,
         "alpha",
         [
             Comment(user_id=5, app_id=1, day=3, rating=4),
             Comment(user_id=2, app_id=2, day=0, rating=1),
         ],
     )
-    database.add_apk(
-        ApkRecord(
-            store="alpha",
-            app_id=1,
-            version_name="3.0",
-            package_name="com.alpha.app1",
-            size_mb=3.14159,
-            embedded_libraries=("com.ads.sdk", "com.analytics"),
-        )
-    )
-    database.add_apk(
-        ApkRecord(
-            store="beta",
-            app_id=9,
-            version_name="1.0",
-            package_name="com.beta.app9",
-            size_mb=0.5,
-            embedded_libraries=(),
-        )
+    add_apks(
+        database,
+        [
+            ApkRecord(
+                store="alpha",
+                app_id=1,
+                version_name="3.0",
+                package_name="com.alpha.app1",
+                size_mb=3.14159,
+                embedded_libraries=("com.ads.sdk", "com.analytics"),
+            ),
+            ApkRecord(
+                store="beta",
+                app_id=9,
+                version_name="1.0",
+                package_name="com.beta.app9",
+                size_mb=0.5,
+                embedded_libraries=(),
+            ),
+        ],
     )
     return database
 

@@ -5,6 +5,7 @@ import pytest
 from repro.crawler.database import AppSnapshot, SnapshotDatabase
 from repro.crawler.quality import assess_crawl_quality
 from repro.store.schema import SNAPSHOT_COLUMNS
+from tests.rows import add_snapshots
 
 
 def snapshot(day, app_id, downloads, comments=0):
@@ -35,40 +36,58 @@ class TestAssessCrawlQuality:
 
     def test_missing_day_detected(self):
         database = SnapshotDatabase()
-        for day in (0, 1, 3, 4):  # day 2 missing from a daily cadence
-            database.add_snapshot(snapshot(day, app_id=1, downloads=day * 10))
+        add_snapshots(
+            database,
+            # day 2 missing from a daily cadence
+            [snapshot(day, app_id=1, downloads=day * 10) for day in (0, 1, 3, 4)],
+        )
         report = assess_crawl_quality(database, "s")
         assert report.expected_cadence == 1
         assert 2 in report.missing_days
 
     def test_sparser_cadence_not_misflagged(self):
         database = SnapshotDatabase()
-        for day in (0, 3, 6, 9):  # every-3-days cadence
-            database.add_snapshot(snapshot(day, app_id=1, downloads=day * 10))
+        add_snapshots(
+            database,
+            # every-3-days cadence
+            [snapshot(day, app_id=1, downloads=day * 10) for day in (0, 3, 6, 9)],
+        )
         report = assess_crawl_quality(database, "s")
         assert report.expected_cadence == 3
         assert report.missing_days == ()
 
     def test_counter_regression_detected(self):
         database = SnapshotDatabase()
-        database.add_snapshot(snapshot(0, app_id=1, downloads=100))
-        database.add_snapshot(snapshot(1, app_id=1, downloads=90))  # impossible
+        add_snapshots(
+            database,
+            [
+                snapshot(0, app_id=1, downloads=100),
+                snapshot(1, app_id=1, downloads=90),  # impossible
+            ],
+        )
         report = assess_crawl_quality(database, "s")
         assert not report.is_clean
         assert (1, 1, "downloads") in report.monotonicity_violations
 
     def test_comment_regression_detected(self):
         database = SnapshotDatabase()
-        database.add_snapshot(snapshot(0, app_id=1, downloads=10, comments=5))
-        database.add_snapshot(snapshot(1, app_id=1, downloads=20, comments=3))
+        add_snapshots(
+            database,
+            [
+                snapshot(0, app_id=1, downloads=10, comments=5),
+                snapshot(1, app_id=1, downloads=20, comments=3),
+            ],
+        )
         report = assess_crawl_quality(database, "s")
         assert (1, 1, "comments") in report.monotonicity_violations
 
     def test_stale_app_detected(self):
         database = SnapshotDatabase()
-        for day in (0, 1, 2):
-            database.add_snapshot(snapshot(day, app_id=1, downloads=day))
-        database.add_snapshot(snapshot(0, app_id=2, downloads=5))  # vanishes
+        add_snapshots(
+            database,
+            [snapshot(day, app_id=1, downloads=day) for day in (0, 1, 2)]
+            + [snapshot(0, app_id=2, downloads=5)],  # vanishes
+        )
         report = assess_crawl_quality(database, "s")
         assert 2 in report.stale_apps
         assert 1 not in report.stale_apps
@@ -83,8 +102,9 @@ class TestZeroRowAppend:
         """An append of zero rows (a served day with no page) adds no
         crawled day, so the in-memory, JSONL and packed copies agree."""
         database = SnapshotDatabase()
-        for day in (3, 5):
-            database.add_snapshot(snapshot(day, app_id=1, downloads=day))
+        add_snapshots(
+            database, [snapshot(day, app_id=1, downloads=day) for day in (3, 5)]
+        )
         empty = {column: [] for column in SNAPSHOT_COLUMNS}
         database.columnar.extend_snapshots("s", 4, empty)
         database.save(tmp_path / "crawl.jsonl")

@@ -7,6 +7,7 @@ from repro.marketplace.ads import (
     TOP_AD_NETWORKS,
     UTILITY_LIBRARIES,
     AdEcosystem,
+    ad_network_of,
     contains_ad_network,
 )
 
@@ -69,3 +70,67 @@ class TestContainsAdNetwork:
 
     def test_similar_prefix_not_matched(self):
         assert not contains_ad_network([TOP_AD_NETWORKS[0] + "x.thing"])
+
+
+def reference_contains(libraries):
+    """The list test the matcher replaced: an exact name, or any network
+    followed by a dot."""
+    networks = set(TOP_AD_NETWORKS)
+    for library in libraries:
+        if library in networks:
+            return True
+        for network in TOP_AD_NETWORKS:
+            if library.startswith(network + "."):
+                return True
+    return False
+
+
+def reference_network_of(library):
+    """The per-library loop the scan's counts used: the first network, in
+    catalog order, the library equals or starts with plus a dot."""
+    for network in TOP_AD_NETWORKS:
+        if library == network or library.startswith(network + "."):
+            return network
+    return None
+
+
+def library_cases():
+    """Exact names, sub-packages and near-misses of every network."""
+    cases = ["", ".", "com", "x"] + list(UTILITY_LIBRARIES)
+    for network in TOP_AD_NETWORKS:
+        parent = network.rsplit(".", 1)[0]
+        cases += [
+            network,
+            network + ".banner",
+            network + ".banner.view",
+            network + ".",
+            network + "x",  # a letter instead of a dot
+            network + "x.thing",
+            network + "_v2.core",
+            network[:-1],
+            parent,
+            parent + ".other",
+            "." + network,
+            "org." + network,
+            network.upper(),
+        ]
+    return cases
+
+
+class TestAdNetworkOf:
+    def test_matches_the_old_loops(self):
+        for library in library_cases():
+            assert ad_network_of(library) == reference_network_of(library), library
+            assert contains_ad_network([library]) == reference_contains([library])
+
+    def test_lists_match_the_old_loop(self):
+        rng = np.random.default_rng(3)
+        cases = library_cases()
+        for _ in range(500):
+            size = int(rng.integers(0, 5))
+            libraries = [cases[int(i)] for i in rng.integers(0, len(cases), size)]
+            assert contains_ad_network(libraries) == reference_contains(libraries)
+
+    def test_sub_package_names_its_network(self):
+        assert ad_network_of(TOP_AD_NETWORKS[3] + ".a.b") == TOP_AD_NETWORKS[3]
+        assert ad_network_of(TOP_AD_NETWORKS[3] + "a.b") is None

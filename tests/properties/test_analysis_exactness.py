@@ -56,6 +56,7 @@ from repro.crawler.quality import (
 from repro.stats.distributions import Ecdf
 from repro.store.chunks import SnapshotChunk
 from repro.store.schema import SNAPSHOT_COLUMNS
+from tests.rows import add_apks, add_snapshots
 
 STORE = "s"
 # Gaps and two cadences: daily at the start, every second and third day
@@ -429,34 +430,40 @@ def build(ops, empty_days=()):
     for op in ops:
         if op[0] == "snapshot":
             _, day, app_id, downloads, comments, price, ads, developer, category = op
-            database.add_snapshot(
-                AppSnapshot(
-                    store=STORE,
-                    day=day,
-                    app_id=app_id,
-                    name=f"app-{app_id}",
-                    category=f"cat-{category}",
-                    developer_id=developer,
-                    price=price,
-                    declares_ads=ads,
-                    total_downloads=downloads,
-                    rating_count=downloads % 5,
-                    average_rating=3.5,
-                    comment_count=comments,
-                    version_name="1.0",
-                )
+            add_snapshots(
+                database,
+                [
+                    AppSnapshot(
+                        store=STORE,
+                        day=day,
+                        app_id=app_id,
+                        name=f"app-{app_id}",
+                        category=f"cat-{category}",
+                        developer_id=developer,
+                        price=price,
+                        declares_ads=ads,
+                        total_downloads=downloads,
+                        rating_count=downloads % 5,
+                        average_rating=3.5,
+                        comment_count=comments,
+                        version_name="1.0",
+                    )
+                ],
             )
         else:
             _, app_id, version, libraries = op
-            database.add_apk(
-                ApkRecord(
-                    store=STORE,
-                    app_id=app_id,
-                    version_name=version,
-                    package_name=f"com.s.app{app_id}",
-                    size_mb=1.5,
-                    embedded_libraries=libraries,
-                )
+            add_apks(
+                database,
+                [
+                    ApkRecord(
+                        store=STORE,
+                        app_id=app_id,
+                        version_name=version,
+                        package_name=f"com.s.app{app_id}",
+                        size_mb=1.5,
+                        embedded_libraries=libraries,
+                    )
+                ],
             )
     crawled = set(database.days(STORE))
     for day in sorted(set(empty_days) - crawled):
@@ -469,8 +476,9 @@ def anchored(database):
     """The crawl plus a last day on which Equation 7 is defined (one paid
     app, one free app that declares ads), so ``break_even_report`` gets
     past its reference day and reaches every ``over_time`` day."""
+    rows = []
     for app_id, price in ((100, 2.5), (101, 0.0)):
-        database.add_snapshot(
+        rows.append(
             AppSnapshot(
                 store=STORE,
                 day=20,
@@ -487,6 +495,7 @@ def anchored(database):
                 version_name="1.0",
             )
         )
+    add_snapshots(database, rows)
     return database
 
 
@@ -615,10 +624,11 @@ class TestPricingAnalyses:
         would round differently from Python's left-to-right ``sum``."""
         rng = np.random.default_rng(20130817)
         database = SnapshotDatabase()
+        rows = []
         for day in range(6):
             for app_id in range(60):
                 paid = app_id < 40
-                database.add_snapshot(
+                rows.append(
                     AppSnapshot(
                         store=STORE,
                         day=day,
@@ -635,6 +645,7 @@ class TestPricingAnalyses:
                         version_name="1.0",
                     )
                 )
+        add_snapshots(database, rows)
         report = break_even_report(database, STORE, time_points=6)
         reference = reference_break_even_report(database, STORE, 6)
         assert len(report.over_time) == 6
@@ -679,9 +690,10 @@ class TestProblematicApps:
 
     def test_tied_downloads_rank_in_app_id_order(self):
         database = SnapshotDatabase()
+        rows = []
         for day, downloads in ((0, (5, 9, 5, 5)), (3, (6, 9, 8, 5))):
             for app_id, count in enumerate(downloads):
-                database.add_snapshot(
+                rows.append(
                     AppSnapshot(
                         store=STORE,
                         day=day,
@@ -698,6 +710,7 @@ class TestProblematicApps:
                         version_name="1.0",
                     )
                 )
+        add_snapshots(database, rows)
         forecast = DownloadForecast(
             store=STORE,
             reference_day=0,
@@ -756,9 +769,10 @@ class TestPaidGates:
     @pytest.fixture
     def negative_price_store(self, tmp_path):
         database = SnapshotDatabase()
+        rows = []
         for day in (0, 1):
             for app_id, price in ((1, 0.0), (2, -1.0)):
-                database.add_snapshot(
+                rows.append(
                     AppSnapshot(
                         store=STORE,
                         day=day,
@@ -775,6 +789,7 @@ class TestPaidGates:
                         version_name="1.0",
                     )
                 )
+        add_snapshots(database, rows)
         path = tmp_path / "crawl.jsonl"
         database.save(path)
         return database, path

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.crawler.database import ApkRecord, AppSnapshot, SnapshotDatabase
 from repro.marketplace.entities import Comment
 from repro.store import first_difference
+from tests.rows import add_apks, add_comments, add_snapshots
 
 STORES = ("alpha", "beta")
 VERSIONS = ("1.0", "1.1", "2.0-rc", "0.9")
@@ -300,15 +301,18 @@ edge_operations = st.lists(
 
 
 def add_snapshot(database, legacy, record):
-    database.add_snapshot(AppSnapshot(**record))
+    add_snapshots(database, [AppSnapshot(**record)])
     legacy.add_snapshot(record)
 
 
 def add_apk(database, legacy, record):
-    database.add_apk(
-        ApkRecord(
-            **{**record, "embedded_libraries": tuple(record["embedded_libraries"])}
-        )
+    add_apks(
+        database,
+        [
+            ApkRecord(
+                **{**record, "embedded_libraries": tuple(record["embedded_libraries"])}
+            )
+        ],
     )
     legacy.add_apk(record)
 
@@ -362,7 +366,8 @@ def apply_operations(ops):
             )
         elif op[0] == "comment":
             _, store, user_id, app_id, day, rating = op
-            database.add_comments(
+            add_comments(
+                database,
                 store,
                 [Comment(user_id=user_id, app_id=app_id, day=day, rating=rating)],
             )

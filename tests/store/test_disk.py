@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.crawler.database import AppSnapshot
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.store import (
     ColumnarStore,
@@ -19,36 +20,46 @@ from repro.store import (
     open_store,
     pack_store,
 )
+from tests.rows import add_snapshots
 
 
 def build_store():
     """Two stores with snapshots, comments, and APK entries."""
     store = ColumnarStore()
-    for name, day, app_id, downloads in [
-        ("alpha", 0, 1, 10),
-        ("alpha", 0, 2, 20),
-        ("alpha", 3, 1, 15),
-        ("beta", 1, 7, 70),
-    ]:
-        store.add_snapshot_row(
-            name,
-            day,
-            app_id,
-            f"app-{app_id}",
-            "games",
-            app_id + 100,
-            0.99 if app_id % 2 else 0.0,
-            bool(app_id % 2),
-            downloads,
-            downloads // 2,
-            3.5,
-            downloads // 3,
-            f"{day}.0",
-        )
-    store.add_comment_row("alpha", 1, 2, 0, 5)
-    store.add_comment_row("alpha", 2, 2, 1, 3)
-    store.add_apk_row("alpha", 1, "0.0", "com.a.app1", 3.5, ("com.ads",))
-    store.add_apk_row("alpha", 1, "3.0", "com.a.app1", 3.6, ())
+    add_snapshots(
+        store,
+        [
+            AppSnapshot(
+                store=name,
+                day=day,
+                app_id=app_id,
+                name=f"app-{app_id}",
+                category="games",
+                developer_id=app_id + 100,
+                price=0.99 if app_id % 2 else 0.0,
+                declares_ads=bool(app_id % 2),
+                total_downloads=downloads,
+                rating_count=downloads // 2,
+                average_rating=3.5,
+                comment_count=downloads // 3,
+                version_name=f"{day}.0",
+            )
+            for name, day, app_id, downloads in [
+                ("alpha", 0, 1, 10),
+                ("alpha", 0, 2, 20),
+                ("alpha", 3, 1, 15),
+                ("beta", 1, 7, 70),
+            ]
+        ],
+    )
+    store.extend_comments("alpha", [(1, 2, 0, 5), (2, 2, 1, 3)])
+    store.extend_apks(
+        "alpha",
+        [
+            (1, "0.0", "com.a.app1", 3.5, ("com.ads",)),
+            (1, "3.0", "com.a.app1", 3.6, ()),
+        ],
+    )
     return store
 
 
@@ -133,18 +144,19 @@ class TestWritesAfterOpen:
         path = tmp_path / "crawl.cstore"
         pack_store(build_store(), path)
         opened = open_store(path)
-        assert not opened.add_comment_row("alpha", 1, 2, 0, 5)  # already packed
-        assert opened.add_comment_row("alpha", 3, 2, 2, 4)
+        assert opened.extend_comments("alpha", [(1, 2, 0, 5)]) == 0  # already packed
+        assert opened.extend_comments("alpha", [(3, 2, 2, 4)]) == 1
         assert len(opened.comment_log("alpha")) == 3
 
     def test_apk_seq_continues_after_open(self, tmp_path):
         path = tmp_path / "crawl.cstore"
         pack_store(build_store(), path)
         opened = open_store(path)
-        assert not opened.add_apk_row(
-            "alpha", 1, "0.0", "com.a.app1", 3.5, ("com.ads",)
+        assert (
+            opened.extend_apks("alpha", [(1, "0.0", "com.a.app1", 3.5, ("com.ads",))])
+            == 0
         )
-        assert opened.add_apk_row("alpha", 1, "4.0", "com.a.app1", 3.7, ())
+        assert opened.extend_apks("alpha", [(1, "4.0", "com.a.app1", 3.7, ())]) == 1
         assert opened.apk_log("alpha").arrays()["seq"].tolist() == [0, 1, 2]
 
     def test_snapshot_overwrite_merges_into_mmap_chunk(self, tmp_path):
@@ -152,8 +164,13 @@ class TestWritesAfterOpen:
         path = tmp_path / "crawl.cstore"
         pack_store(original, path)
         opened = open_store(path)
-        opened.add_snapshot_row(
-            "alpha", 0, 2, "app-2", "games", 102, 0.0, False, 99, 0, 0.0, 0, "0.0"
+        add_snapshots(
+            opened,
+            [
+                AppSnapshot(
+                    "alpha", 0, 2, "app-2", "games", 102, 0.0, False, 99, 0, 0.0, 0, "0.0"
+                )
+            ],
         )
         assert opened.download_vector("alpha", 0).tolist() == [10, 99]
         assert original.download_vector("alpha", 0).tolist() == [10, 20]

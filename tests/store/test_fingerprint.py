@@ -17,6 +17,7 @@ from repro.store import ColumnarStore, Difference, first_difference
 from repro.store.chunks import SnapshotChunk
 from repro.store.fingerprint import _sorted_rows
 from repro.store.schema import SNAPSHOT_COLUMNS
+from tests.rows import add_apks, add_comments, add_snapshots
 
 OTHER_NAN = struct.unpack("<d", bytes.fromhex("0100000000fcffff"))[0]
 
@@ -43,11 +44,9 @@ def snapshot(app_id, day=3, store="s", **fields):
 
 def database_of(*snapshots, comments=(), apks=()):
     database = SnapshotDatabase()
-    for row in snapshots:
-        database.add_snapshot(row)
-    database.add_comments("s", comments)
-    for apk in apks:
-        database.add_apk(apk)
+    add_snapshots(database, snapshots)
+    add_comments(database, "s", comments)
+    add_apks(database, apks)
     return database
 
 
@@ -140,8 +139,7 @@ class TestCanonicalBytes:
         for app in reversed(range(6)):
             backward.columnar.names.intern(f"app-{app}")
             backward.columnar.categories.intern(f"cat-{app % 3}")
-        for row in rows:
-            backward.add_snapshot(row)
+        add_snapshots(backward, rows)
         ids = [
             db.columnar.chunk("s", 3).column("name_id").tolist()
             for db in (forward, backward)
@@ -181,10 +179,9 @@ class TestSortedRows:
 class TestFirstDifference:
     def test_identical_copies_have_none(self, tmp_path):
         database = SnapshotDatabase()
-        database.add_apk(apk(1, ("com.ads",), version="2.0"))
-        database.add_snapshot(snapshot(1))
-        database.add_snapshot(snapshot(2, day=4))
-        database.add_comments("s", [Comment(user_id=1, app_id=2, day=4, rating=5)])
+        add_apks(database, [apk(1, ("com.ads",), version="2.0")])
+        add_snapshots(database, [snapshot(1), snapshot(2, day=4)])
+        add_comments(database, "s", [Comment(user_id=1, app_id=2, day=4, rating=5)])
         database.save(tmp_path / "copy.jsonl")
         database.pack(tmp_path / "copy.cstore")
         copies = [

@@ -8,10 +8,12 @@ helpers of :class:`ColumnarStore`.
 import numpy as np
 import pytest
 
+from repro.crawler.database import AppSnapshot
 from repro.store import ColumnarStore
 from repro.store.chunks import ApkLog, CommentLog, SnapshotChunk
 from repro.store.dictionary import StringInterner, TupleInterner
 from repro.store.schema import SNAPSHOT_COLUMNS
+from tests.rows import add_snapshots
 
 
 def add_row(
@@ -23,20 +25,25 @@ def add_row(
     version="1.0",
     price=0.0,
 ):
-    store.add_snapshot_row(
-        name,
-        day,
-        app_id,
-        f"app-{app_id}",
-        "games",
-        1,
-        price,
-        False,
-        downloads,
-        0,
-        0.0,
-        0,
-        version,
+    add_snapshots(
+        store,
+        [
+            AppSnapshot(
+                store=name,
+                day=day,
+                app_id=app_id,
+                name=f"app-{app_id}",
+                category="games",
+                developer_id=1,
+                price=price,
+                declares_ads=False,
+                total_downloads=downloads,
+                rating_count=0,
+                average_rating=0.0,
+                comment_count=0,
+                version_name=version,
+            )
+        ],
     )
 
 
@@ -116,28 +123,27 @@ class TestSealing:
 class TestLogs:
     def test_comment_log_deduplicates(self):
         log = CommentLog("s")
-        assert log.add(1, 2, 3, 4)
-        assert not log.add(1, 2, 3, 4)
-        assert log.add(1, 2, 3, 5)
+        assert log.extend([(1, 2, 3, 4)]) == 1
+        assert log.extend([(1, 2, 3, 4)]) == 0
+        assert log.extend([(1, 2, 3, 5)]) == 1
         assert len(log) == 2
 
     def test_comment_log_arrays_keep_insertion_order(self):
         log = CommentLog("s")
-        log.add(9, 1, 0, 5)
-        log.add(1, 1, 0, 3)
+        log.extend([(9, 1, 0, 5), (1, 1, 0, 3)])
         columns = log.arrays()
         assert columns["user_id"].tolist() == [9, 1]
         # Appending after a seal invalidates the cache and re-concatenates.
-        log.add(4, 2, 1, 2)
+        log.extend([(4, 2, 1, 2)])
         assert log.arrays()["user_id"].tolist() == [9, 1, 4]
 
     def test_apk_log_at_most_once_with_seq(self):
         log = ApkLog("s")
-        assert log.add(1, 0, 0, 3.5, 0)
-        assert not log.add(1, 0, 0, 3.5, 0)
-        assert log.add(2, 0, 0, 3.5, 0)
+        assert log.extend([(1, 0, 0, 3.5, 0)]) == 1
+        assert log.extend([(1, 0, 0, 3.5, 0)]) == 0
+        assert log.extend([(2, 0, 0, 3.5, 0)]) == 1
         log.arrays()  # seal a segment mid-stream
-        assert log.add(1, 1, 0, 4.0, 0)
+        assert log.extend([(1, 1, 0, 4.0, 0)]) == 1
         columns = log.arrays()
         assert columns["seq"].tolist() == [0, 1, 2]
         assert columns["app_id"].tolist() == [1, 2, 1]
@@ -189,7 +195,7 @@ class TestColumnarQueries:
     def test_stores_vs_snapshot_stores(self):
         store = ColumnarStore()
         add_row(store, name="snaps-only")
-        store.add_comment_row("comments-only", 1, 2, 3, 4)
+        store.extend_comments("comments-only", [(1, 2, 3, 4)])
         assert store.stores() == ["comments-only", "snaps-only"]
         assert store.snapshot_stores() == ["snaps-only"]
 
@@ -228,34 +234,36 @@ class TestColumnarQueries:
             (2, "alpha", "games", "1.1"),
             (7, "delta", "music", "3.0"),
         ]
+
+        def day_columns(day_rows):
+            return {
+                "app_id": [row[0] for row in day_rows],
+                "name": [row[1] for row in day_rows],
+                "category": [row[2] for row in day_rows],
+                "developer_id": [1] * len(day_rows),
+                "price": [0.5] * len(day_rows),
+                "declares_ads": [True] * len(day_rows),
+                "total_downloads": [10 * row[0] for row in day_rows],
+                "rating_count": [row[0] for row in day_rows],
+                "average_rating": [4.0] * len(day_rows),
+                "comment_count": [0] * len(day_rows),
+                "version_name": [row[3] for row in day_rows],
+            }
+
+        def apk_rows(day_rows):
+            return [
+                (app_id, version, f"pkg.{name}", 1.5, ())
+                for app_id, name, _, version in day_rows
+            ]
+
         per_row = ColumnarStore()
-        for app_id, name, category, version in rows:
-            per_row.add_snapshot_row(
-                "s", 3, app_id, name, category, 1, 0.5, True, 10 * app_id,
-                app_id, 4.0, 0, version,
-            )
-            per_row.add_apk_row("s", app_id, version, f"pkg.{name}", 1.5, ())
+        for row in rows:
+            per_row.extend_snapshots("s", 3, day_columns([row]))
+            per_row.extend_apks("s", apk_rows([row]))
 
         bulk = ColumnarStore()
-        bulk.extend_snapshots(
-            "s",
-            3,
-            {
-                "app_id": [row[0] for row in rows],
-                "name": [row[1] for row in rows],
-                "category": [row[2] for row in rows],
-                "developer_id": [1] * len(rows),
-                "price": [0.5] * len(rows),
-                "declares_ads": [True] * len(rows),
-                "total_downloads": [10 * row[0] for row in rows],
-                "rating_count": [row[0] for row in rows],
-                "average_rating": [4.0] * len(rows),
-                "comment_count": [0] * len(rows),
-                "version_name": [row[3] for row in rows],
-            },
-        )
-        for app_id, name, _, version in rows:
-            bulk.add_apk_row("s", app_id, version, f"pkg.{name}", 1.5, ())
+        bulk.extend_snapshots("s", 3, day_columns(rows))
+        bulk.extend_apks("s", apk_rows(rows))
 
         for table in ("names", "categories", "versions", "packages"):
             assert getattr(bulk, table).values() == getattr(per_row, table).values()
