@@ -345,8 +345,8 @@ class SnapshotDatabase:
             )
         ]
 
-    def latest_apk_per_app(self, store: str) -> Dict[int, ApkRecord]:
-        """The most recently archived APK version of every app.
+    def latest_versions(self, store: str) -> Dict[int, str]:
+        """The version name of every app's most recently archived APK.
 
         "Latest" is defined by the explicit archive sequence number each
         entry carries, not by container order -- a save/load round trip
@@ -360,30 +360,14 @@ class SnapshotDatabase:
         # highest sequence number, i.e. the most recent archive.
         order = np.lexsort((columns["seq"], columns["app_id"]))
         app_ids = columns["app_id"][order]
-        keep = np.empty(app_ids.size, dtype=np.bool_)
-        keep[:-1] = app_ids[1:] != app_ids[:-1]
-        keep[-1] = True
-        rows = order[keep]
-        versions = self._store.versions.values()
-        packages = self._store.packages.values()
-        libsets = self._store.libsets.values()
-        return {
-            app_id: ApkRecord(
-                store=store,
-                app_id=app_id,
-                version_name=versions[version_id],
-                package_name=packages[package_id],
-                size_mb=size_mb,
-                embedded_libraries=libsets[libset_id],
+        last = np.append(app_ids[1:] != app_ids[:-1], True)
+        rows = order[last]
+        return dict(
+            zip(
+                app_ids[last].tolist(),
+                self._store.versions.decode(columns["version_id"][rows].tolist()),
             )
-            for app_id, version_id, package_id, size_mb, libset_id in zip(
-                columns["app_id"][rows].tolist(),
-                columns["version_id"][rows].tolist(),
-                columns["package_id"][rows].tolist(),
-                columns["size_mb"][rows].tolist(),
-                columns["libset_id"][rows].tolist(),
-            )
-        }
+        )
 
     def fingerprint(self) -> str:
         """Order-independent SHA-256 over the full database contents.

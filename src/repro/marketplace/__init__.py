@@ -11,7 +11,7 @@ scale parameters are calibrated per store to Table 1 of the paper.
 Layout
 ------
 - :mod:`repro.marketplace.entities` -- the data model (apps, developers,
-  users, comments, versions, APK packages).
+  comments, versions, APK packages; users are arrays held by the store).
 - :mod:`repro.marketplace.catalog` -- category taxonomies per store.
 - :mod:`repro.marketplace.pricing` -- price assignment for paid apps.
 - :mod:`repro.marketplace.ads` -- the ad-network catalog and ad-library
@@ -34,7 +34,6 @@ from repro.marketplace.entities import (
     Comment,
     Developer,
     DownloadRecord,
-    User,
 )
 from repro.marketplace.generator import build_store
 from repro.marketplace.profiles import (
@@ -54,7 +53,6 @@ __all__ = [
     "Developer",
     "DownloadRecord",
     "StoreProfile",
-    "User",
     "build_store",
     "default_taxonomy",
     "paper_profiles",

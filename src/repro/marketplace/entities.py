@@ -134,27 +134,6 @@ class App:
         return max(0, len(self.versions) - 1)
 
 
-@dataclass
-class User:
-    """A marketplace user.
-
-    ``activity`` controls how many downloads the user performs over the
-    simulation; ``comment_probability`` is the chance that a download is
-    followed by a public rating+comment (the paper's proxy signal for
-    per-user download streams).
-    """
-
-    user_id: int
-    activity: float
-    comment_probability: float
-
-    def __post_init__(self) -> None:
-        if self.activity < 0:
-            raise ValueError("activity must be non-negative")
-        if not 0.0 <= self.comment_probability <= 1.0:
-            raise ValueError("comment_probability must be in [0, 1]")
-
-
 @dataclass(frozen=True)
 class Comment:
     """A public user comment, with the rating the paper requires.

@@ -40,7 +40,6 @@ from repro.marketplace.entities import (
     AppVersion,
     Comment,
     DownloadRecord,
-    User,
 )
 
 
@@ -62,11 +61,47 @@ class DailyActivity:
 MAX_ROUNDS = 16
 
 
+def _checked_users(
+    activity: np.ndarray, comment_probability: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The user arrays as float64 copies, or ValueError naming the first
+    bad user: equal lengths, activity finite and non-negative with a
+    positive sum, comment probabilities in [0, 1] (NaN fails both)."""
+    activity = np.array(activity, dtype=np.float64)
+    comment_probability = np.array(comment_probability, dtype=np.float64)
+    if activity.ndim != 1 or activity.shape != comment_probability.shape:
+        raise ValueError(
+            "activity and comment_probability must be 1-D and equally long, "
+            f"got shapes {activity.shape} and {comment_probability.shape}"
+        )
+    bad = ~(np.isfinite(activity) & (activity >= 0))
+    if bad.any():
+        user = int(np.argmax(bad))
+        raise ValueError(
+            f"user {user}: activity must be finite and non-negative, "
+            f"got {activity[user]}"
+        )
+    bad = ~((comment_probability >= 0) & (comment_probability <= 1))
+    if bad.any():
+        user = int(np.argmax(bad))
+        raise ValueError(
+            f"user {user}: comment_probability must be in [0, 1], "
+            f"got {comment_probability[user]}"
+        )
+    if not activity.sum() > 0:
+        raise ValueError("user population has no activity")
+    return activity, comment_probability
+
+
 class AppStore:
     """A simulated appstore, advanced one day at a time.
 
     Instances are normally built by :func:`repro.marketplace.generator.build_store`;
-    the constructor wires together pre-generated populations.
+    the constructor wires together pre-generated populations.  Users are
+    two arrays indexed by user id: ``activity``, how much each user
+    downloads relative to the others, and ``comment_probability``, the
+    chance that a download is followed by a public rating+comment (the
+    paper's proxy signal for per-user download streams).
     """
 
     def __init__(
@@ -74,7 +109,8 @@ class AppStore:
         name: str,
         taxonomy: CategoryTaxonomy,
         apps: Sequence[App],
-        users: Sequence[User],
+        activity: np.ndarray,
+        comment_probability: np.ndarray,
         behavior: DownloadBehavior,
         rng: np.random.Generator,
         daily_download_rate: float,
@@ -85,19 +121,20 @@ class AppStore:
     ) -> None:
         if len(apps) != behavior.n_apps:
             raise ValueError("apps and behaviour engine disagree on app count")
+        activity, comment_probability = _checked_users(activity, comment_probability)
+        n_users = activity.size
         if (segments is None) != (segment_behaviors is None):
             raise ValueError(
                 "segments and segment_behaviors must be given together"
             )
         if segments is not None:
-            if segments.n_users != len(users):
+            if segments.n_users != n_users:
                 raise ValueError("segment partition disagrees on user count")
             if len(segment_behaviors) != segments.n_segments:
                 raise ValueError("one behaviour engine per segment required")
         self.name = name
         self.taxonomy = taxonomy
         self._apps: List[App] = list(apps)
-        self._users: List[User] = list(users)
         self._rng = rng
         self.daily_download_rate = float(daily_download_rate)
         if self.daily_download_rate < 0:
@@ -127,20 +164,13 @@ class AppStore:
         self._keep_download_log = keep_download_log
         self._daily_totals: List[DailyActivity] = []
 
-        activity = np.array([user.activity for user in users], dtype=np.float64)
-        if activity.sum() <= 0:
-            raise ValueError("user population has no activity")
         self._user_pick_probabilities = activity / activity.sum()
-        self._comment_probability = np.array(
-            [user.comment_probability for user in users], dtype=np.float64
-        )
+        self._comment_probability = comment_probability
         # Any user may come to own any app, so the ledger's capacity is
         # the catalog; at that width the bit-packed backend is the
         # smaller one (n_apps / 8 bytes per user).
-        self._ledger = DownloadLedger(len(users), len(apps), len(apps))
-        self._visited = VisitedClusters(
-            len(users), behavior.n_categories, len(apps)
-        )
+        self._ledger = DownloadLedger(n_users, len(apps), len(apps))
+        self._visited = VisitedClusters(n_users, behavior.n_categories, len(apps))
 
         self._segments = segments
         if segments is not None:
@@ -158,7 +188,7 @@ class AppStore:
             )
         else:
             segment_behaviors = [behavior]
-            self._segment_of_user = np.zeros(len(users), dtype=np.int64)
+            self._segment_of_user = np.zeros(n_users, dtype=np.int64)
             self._downloads_by_segment = np.zeros(
                 (1, len(apps)), dtype=np.int64
             )
@@ -199,7 +229,7 @@ class AppStore:
     @property
     def n_users(self) -> int:
         """Size of the user population."""
-        return len(self._users)
+        return self._comment_probability.size
 
     def listed_app_ids(self, day: Optional[int] = None) -> List[int]:
         """IDs of apps listed (publicly visible) on ``day`` (default: today)."""

@@ -49,7 +49,7 @@ from repro.crawler.crawler import (
     commit_day,
     listing_walk,
 )
-from repro.crawler.database import ApkRecord, SnapshotDatabase
+from repro.crawler.database import SnapshotDatabase
 from repro.crawler.proxies import ProxyPool
 from repro.crawler.scheduler import _GEO_FENCED_STORES
 from repro.crawler.webapi import StoreWebApi
@@ -327,7 +327,7 @@ class EcosystemService:
         # The APK-archive state each worker consults is pinned at the
         # start of the day, as in the batch crawler, so the fetch-once
         # decision is independent of intra-day commit order.
-        known_apks = self.database.latest_apk_per_app(self.store.name)
+        known_versions = self.database.latest_versions(self.store.name)
 
         queue: "asyncio.Queue[Tuple[int, int]]" = asyncio.Queue()
         for pair in enumerate(app_ids):
@@ -337,7 +337,7 @@ class EcosystemService:
         results: List[Tuple[int, AppObservation]] = []
         tasks = [
             loop.create_task(
-                self._worker(client, queue, known_apks, results),
+                self._worker(client, queue, known_versions, results),
                 name=f"{client.name}/day-{observed_day}",
             )
             for client in self.clients
@@ -360,7 +360,7 @@ class EcosystemService:
         self,
         client: AsyncCrawlClient,
         queue: "asyncio.Queue[Tuple[int, int]]",
-        known_apks: Dict[int, ApkRecord],
+        known_versions: Dict[int, str],
         results: List[Tuple[int, AppObservation]],
     ) -> None:
         """Drain the day's work queue through one client."""
@@ -371,7 +371,7 @@ class EcosystemService:
                 return
             observation = await client.drive(
                 app_visit(
-                    self.api, app_id, known_apks, self.fetch_comments, client.stats
+                    self.api, app_id, known_versions, self.fetch_comments, client.stats
                 )
             )
             results.append((index, observation))

@@ -9,7 +9,6 @@ from repro.marketplace.entities import (
     AppVersion,
     Comment,
     Developer,
-    User,
 )
 
 
@@ -70,14 +69,6 @@ class TestApp:
         app.versions.append(AppVersion("1.1", 5, apk))
         assert app.current_version.version_name == "1.1"
         assert app.update_count == 1
-
-
-class TestUser:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            User(user_id=0, activity=-1.0, comment_probability=0.1)
-        with pytest.raises(ValueError):
-            User(user_id=0, activity=1.0, comment_probability=1.5)
 
 
 class TestComment:

@@ -17,7 +17,7 @@ import pytest
 from repro.core.powerlaw import analyze_rank_distribution
 from repro.marketplace.behavior import BehaviorParams, DownloadBehavior
 from repro.marketplace.catalog import default_taxonomy
-from repro.marketplace.entities import App, User
+from repro.marketplace.entities import App
 from repro.marketplace.store import AppStore
 from repro.stats.rng import make_rng
 from repro.stats.sampling import AliasSampler
@@ -142,7 +142,6 @@ def _batched_log(seed):
         )
         for i in range(N_APPS)
     ]
-    users = [User(u, float(activity[u]), 0.0) for u in range(N_USERS)]
     behavior = DownloadBehavior(
         categories,
         PARAMS,
@@ -154,7 +153,8 @@ def _batched_log(seed):
         "equivalence",
         taxonomy,
         apps,
-        users,
+        activity,
+        np.zeros(N_USERS),
         behavior,
         make_rng(seed),
         DAILY_DOWNLOADS,

@@ -239,7 +239,7 @@ def test_day_commit_equals_per_row_writes(plan, recommit):
         database = SnapshotDatabase()
         for store, day, listed in plan:
             observations = [observation(visit) for visit in listed]
-            database.latest_apk_per_app(store)
+            database.latest_versions(store)
             model.start_day(store)
             committed = commit_day(database, store, day, observations)
             expected = model.commit(store, day, observations)

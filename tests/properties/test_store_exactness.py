@@ -208,10 +208,9 @@ class LegacyReference:
             for record in self.comments.get(store, [])
         ]
 
-    def latest_apk_per_app(self, store):
-        latest = {}
-        for record in self.apks.get(store, {}).values():  # archive order
-            latest[record["app_id"]] = ApkRecord(
+    def apk_rows(self, store):
+        return [
+            ApkRecord(
                 store=record["store"],
                 app_id=record["app_id"],
                 version_name=record["version_name"],
@@ -219,6 +218,13 @@ class LegacyReference:
                 size_mb=record["size_mb"],
                 embedded_libraries=tuple(record["embedded_libraries"]),
             )
+            for record in self.apks.get(store, {}).values()  # archive order
+        ]
+
+    def latest_versions(self, store):
+        latest = {}
+        for record in self.apks.get(store, {}).values():  # archive order
+            latest[record["app_id"]] = record["version_name"]
         return latest
 
 
@@ -422,9 +428,8 @@ def assert_same_answers(database, legacy):
                 store, day
             )
         assert database.comments(store) == legacy.comment_rows(store)
-        assert database.latest_apk_per_app(store) == legacy.latest_apk_per_app(
-            store
-        )
+        assert database.apks(store) == legacy.apk_rows(store)
+        assert database.latest_versions(store) == legacy.latest_versions(store)
 
 
 class TestExactness:
