@@ -26,28 +26,23 @@ class TestAdEcosystem:
     def test_free_app_inclusion_rate(self):
         """The paper measures ~67% of free apps embedding top-20 networks."""
         ecosystem = AdEcosystem(ad_inclusion_rate=0.67)
-        rng = np.random.default_rng(0)
-        with_ads = sum(
-            contains_ad_network(ecosystem.sample_libraries(True, seed=rng))
-            for _ in range(3000)
-        )
+        libraries, _ = ecosystem.sample_library_sets(np.ones(3000, bool), seed=0)
+        with_ads = sum(contains_ad_network(apk) for apk in libraries)
         assert 0.62 < with_ads / 3000 < 0.72
 
     def test_paid_apps_rarely_have_ads(self):
         ecosystem = AdEcosystem(paid_ad_rate=0.03)
-        rng = np.random.default_rng(1)
-        with_ads = sum(
-            contains_ad_network(ecosystem.sample_libraries(False, seed=rng))
-            for _ in range(2000)
-        )
+        libraries, _ = ecosystem.sample_library_sets(np.zeros(2000, bool), seed=1)
+        with_ads = sum(contains_ad_network(apk) for apk in libraries)
         assert with_ads / 2000 < 0.08
 
     def test_every_apk_has_some_library(self):
         ecosystem = AdEcosystem()
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            libraries = ecosystem.sample_libraries(True, seed=rng)
-            assert len(libraries) >= 1
+        free = np.random.default_rng(2).random(50) < 0.5
+        libraries, _ = ecosystem.sample_library_sets(free, seed=2)
+        assert len(libraries) == 50
+        for apk in libraries:
+            assert len(apk) >= 1
 
     def test_network_weights_skewed(self):
         weights = AdEcosystem(network_skew=1.0).network_weights()

@@ -28,30 +28,30 @@ SEED = 7
 DAYS = 4
 RPS = 8.0
 
-FINGERPRINT = "a8b7ce3afb1382625b36fdb23c52c1c84b53c894ded117f454e610edef970296"
-DATA_PLANE = "8ab496076400a7af28aa9ba50b2a92c317c5aa11597b27dfa1972af9658d4d14"
+FINGERPRINT = "740fa2e5e97dc3bdb3633233533c44e40f93abd49ab39fb60050cb92d9ca49ac"
+DATA_PLANE = "e9cfdb716c7c7e7225d2244623fa536662de936c09fa4bd61f9a7bbef74f0434"
 
 # (plan, clients) -> (worker restarts, trace sha256, traffic-plane sha256)
 PINS = {
     ("mild", 1): (
         0,
         "cc65d1dce37742db440b3fc88ce2770f481f546b607267d355c26a33c5669b74",
-        "a17f0912280f0d9202dc04c7a69219ede9d23d57bd1bc23013e4eb5304dfdd9e",
+        "bb4782ade5a9ed88f692f23f3f6f8712c5b898faa77beac2d144f02ba0f9a6ed",
     ),
     ("mild", 4): (
         0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "bf07d072dbbbe8c67535393485d7dcabf3f4efb2704cf9039274d513e845510b",
+        "4579236ae8e72af586d3713a09eab5778cefc73ea633314283234e3789fc83cf",
     ),
     ("aggressive", 1): (
         1,
-        "899d4fc3a03effd591cee812e14f6cf2eb1fb295adf19f3e8bf2f89f1cefcf1a",
-        "fd82bb194e2faa259f3262d7b5c394117bdf145e83720d3bdf8aeca17bec7ae0",
+        "e1af167906c898d585256963910b13d4625c67e8cb1bdc9c8228bdbcc2054ac9",
+        "cdb6ae2bee04b1de72a58f26a996fb6c4bb4997874a0bc25f82fd37e2a970c7c",
     ),
     ("aggressive", 4): (
         0,
-        "f76fddb36eca19222852ace657c99e866d9fc99ff011761a915ee8a02a5564d4",
-        "c04c513c71508ea537e48a9b94d36f3422fa1155625f9202a6fe95468b4d8a5e",
+        "182dde23e7706e70ecfd2e29196b9dc9c6796183adea6ec6e0fcc98fedddbff7",
+        "74dee7546028ff4c171ea1bd015425e2fddf80f2220ca063c75ad0fdda6876a5",
     ),
 }
 
