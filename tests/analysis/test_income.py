@@ -29,6 +29,11 @@ class TestIncomeReport:
         top = float(incomes.max())
         assert top > 10 * max(median, 1.0)
 
+    def test_some_developers_earn_nothing(self, report):
+        """Figure 13: 27% of SlideMe's developers with paid apps earned
+        nothing."""
+        assert 0.1 < report.fraction_below(0.0) < 0.5
+
     def test_fraction_below_monotone(self, report):
         assert report.fraction_below(10) <= report.fraction_below(100)
         assert report.fraction_below(100) <= report.fraction_below(10_000)

@@ -84,6 +84,48 @@ class TestPaidApps:
         assert all(app.is_free for app in generated.store.apps())
 
 
+class TestUnsoldPaidApps:
+    """A share of the paid apps never sells (Figure 13's zero incomes)."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        # Two spam accounts draw hundreds of downloads a day, so by the
+        # end they own every app that any law offers: the apps nobody
+        # bought are exactly the unsold ones.
+        profile = demo_profile(
+            name="unsold",
+            initial_apps=600,
+            new_apps_per_day=0.0,
+            crawl_days=4,
+            warmup_days=0,
+            daily_downloads=3000.0,
+            n_users=40,
+            n_categories=10,
+            paid_fraction=0.4,
+            spam_users=2,
+        )
+        generated = build_store(profile, seed=3)
+        generated.store.advance_days(4)
+        apps = generated.store.apps()
+        paid = np.array([app.is_paid for app in apps])
+        blockbuster = paid & np.isin([app.global_rank for app in apps], [1, 4, 7, 10])
+        return generated.store.download_counts(), paid, blockbuster
+
+    def test_free_apps_and_blockbusters_all_sell(self, run):
+        downloads, paid, blockbuster = run
+        assert blockbuster.sum() == 4
+        assert (downloads[~paid] > 0).all()
+        assert (downloads[blockbuster] > 0).all()
+
+    def test_share_of_other_paid_apps_never_sells(self, run):
+        downloads, paid, blockbuster = run
+        others = paid & ~blockbuster
+        share = float(np.mean(downloads[others] == 0))
+        # 0.35 within 4.5 binomial standard deviations.
+        bound = 4.5 * np.sqrt(0.35 * 0.65 / others.sum())
+        assert abs(share - 0.35) < bound
+
+
 class TestDevelopers:
     def test_every_app_has_developer(self, paid_store):
         developer_ids = {d.developer_id for d in paid_store.developers}
