@@ -63,12 +63,10 @@ def run_proxy_validation():
 
     # Ground truth: per-user download category streams.
     download_streams = {}
-    for record in store.download_log():
-        if record.is_update:
+    for user_id, app_id, _, is_update in store.download_log().tolist():
+        if is_update:
             continue
-        download_streams.setdefault(record.user_id, []).append(
-            category_of[record.app_id]
-        )
+        download_streams.setdefault(user_id, []).append(category_of[app_id])
 
     # The proxy: per-user comment category streams, as the crawler saw.
     from repro.analysis.comments import user_category_strings

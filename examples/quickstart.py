@@ -38,7 +38,7 @@ def main() -> None:
     )
     print(f"\nCrawl finished: {downloads.size} apps, "
           f"{int(downloads.sum()):,} total downloads, "
-          f"{len(database.comments(campaign.store_name)):,} comments.\n")
+          f"{database.n_comments(campaign.store_name):,} comments.\n")
 
     # --- Section 3: popularity characterization -----------------------
     summary = pareto_summary(downloads[downloads > 0])

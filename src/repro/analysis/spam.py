@@ -20,7 +20,7 @@ as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Set
+from typing import Sequence
 
 import numpy as np
 
@@ -109,30 +109,25 @@ def detect_spam_users(
         raise ValueError("max_daily_rate must be positive")
     if min_active_days < 1:
         raise ValueError("min_active_days must be >= 1")
-    streams = database.comment_streams(store)
-    if not streams:
+    comments = database.comment_columns(store)
+    users = comments["user_id"]
+    if users.size == 0:
         raise ValueError(f"store {store!r} has no comments")
 
-    counts = {user_id: len(comments) for user_id, comments in streams.items()}
-    threshold = volume_outlier_threshold(
-        list(counts.values()), iqr_multiplier=iqr_multiplier
+    user_ids, counts = np.unique(users, return_counts=True)
+    threshold = volume_outlier_threshold(counts, iqr_multiplier=iqr_multiplier)
+    # Distinct (user, day) pairs sort by user, so counting them per user
+    # lines up with user_ids.
+    pairs = np.unique(np.column_stack((users, comments["day"])), axis=0)
+    active_days = np.unique(pairs[:, 0], return_counts=True)[1]
+    flagged = (counts > threshold) | (
+        (active_days >= min_active_days) & (counts / active_days > max_daily_rate)
     )
-
-    flagged: Set[int] = set()
-    for user_id, comments in streams.items():
-        if counts[user_id] > threshold:
-            flagged.add(user_id)
-            continue
-        active_days = {comment.day for comment in comments}
-        if len(active_days) >= min_active_days:
-            rate = counts[user_id] / len(active_days)
-            if rate > max_daily_rate:
-                flagged.add(user_id)
 
     return SpamReport(
         store=store,
-        n_users=len(streams),
-        spam_user_ids=frozenset(flagged),
+        n_users=user_ids.size,
+        spam_user_ids=frozenset(user_ids[flagged].tolist()),
         volume_threshold=threshold,
         cadence_threshold=max_daily_rate,
     )

@@ -219,7 +219,7 @@ def _run_campaign(args) -> int:
     print(
         f"saved {args.out}: {downloads.size} apps, "
         f"{int(downloads.sum()):,} downloads, "
-        f"{len(campaign.database.comments(campaign.store_name)):,} comments"
+        f"{campaign.database.n_comments(campaign.store_name):,} comments"
     )
     return 0
 

@@ -25,6 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.analysis.model_validation import observed_rank_curve
 from repro.core.analytical import expected_download_curve_corrected
 from repro.core.fitting import FitResult, fit_model, mean_relative_error
 from repro.core.models import AppClusteringParams, ModelKind
@@ -78,14 +79,6 @@ class ProblematicApp:
         return self.expected_growth - self.observed_growth
 
 
-def _rank_curve(database: SnapshotDatabase, store: str, day: int) -> np.ndarray:
-    downloads = database.download_vector(store, day).astype(np.float64)
-    positive = downloads[downloads > 0]
-    if positive.size == 0:
-        raise ValueError(f"store {store!r} has no downloads on day {day}")
-    return np.sort(positive)[::-1]
-
-
 def forecast_downloads(
     database: SnapshotDatabase,
     store: str,
@@ -110,7 +103,7 @@ def forecast_downloads(
     if target_day <= reference_day:
         raise ValueError("target_day must be after reference_day")
 
-    observed = _rank_curve(database, store, reference_day)
+    observed = observed_rank_curve(database, store, reference_day)
     n_users = int(observed[0])
     fit = fit_model(
         ModelKind.APP_CLUSTERING,
@@ -126,7 +119,7 @@ def forecast_downloads(
     later_days = [d for d in days if d > reference_day]
     if later_days:
         next_day = later_days[0]
-        next_total = float(_rank_curve(database, store, next_day).sum())
+        next_total = float(observed_rank_curve(database, store, next_day).sum())
         daily_growth = max(0.0, (next_total - reference_total)) / max(
             1, next_day - reference_day
         )

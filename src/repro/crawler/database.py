@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.marketplace.entities import Comment, is_free_price
+from repro.marketplace.entities import is_free_price
 from repro.store import (
     ColumnarStore,
     DownloadMatrix,
@@ -50,7 +50,7 @@ from repro.store import (
     open_store,
     pack_store,
 )
-from repro.store.schema import SNAPSHOT_COLUMNS
+from repro.store.schema import COMMENT_COLUMNS, SNAPSHOT_COLUMNS, empty_columns
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,10 @@ class SnapshotDatabase:
 
     Snapshots are indexed by (store, day, app_id); comments and APKs are
     appended.  Query helpers return the shapes the analysis layer wants:
-    per-app download vectors on a day, per-app deltas between days, and
-    per-user comment streams -- plus columnar accessors
-    (:meth:`snapshot_columns`, :meth:`download_matrix`) for analyses
-    that want arrays instead of dataclasses.
+    per-app download vectors on a day and per-app deltas between days,
+    plus columnar accessors (:meth:`snapshot_columns`,
+    :meth:`download_matrix`, :meth:`comment_columns`) for analyses that
+    want arrays instead of dataclasses.
     """
 
     def __init__(self, columnar: Optional[ColumnarStore] = None) -> None:
@@ -292,30 +292,27 @@ class SnapshotDatabase:
         log = self._store.comment_log(store)
         return 0 if log is None else len(log)
 
-    def comments(self, store: str) -> List[Comment]:
-        """All comments of a store in insertion order."""
+    def comment_columns(self, store: str) -> Dict[str, np.ndarray]:
+        """A store's comments as one array per ``COMMENT_COLUMNS`` column,
+        in insertion order; no rows when the store has none.
+
+        Every comment carries a rating, as the paper requires of download
+        evidence: a rating outside 1..5 raises ValueError naming the
+        store, the row and the rating, whichever copy it was read from.
+        """
         log = self._store.comment_log(store)
         if log is None or len(log) == 0:
-            return []
+            return empty_columns(COMMENT_COLUMNS)
         columns = log.arrays()
-        return [
-            Comment(user_id=user_id, app_id=app_id, day=day, rating=rating)
-            for user_id, app_id, day, rating in zip(
-                columns["user_id"].tolist(),
-                columns["app_id"].tolist(),
-                columns["day"].tolist(),
-                columns["rating"].tolist(),
+        ratings = columns["rating"]
+        bad = (ratings < 1) | (ratings > 5)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(
+                f"store {store!r}, comment row {row}: rating must be 1..5, "
+                f"got {ratings[row]}"
             )
-        ]
-
-    def comment_streams(self, store: str) -> Dict[int, List[Comment]]:
-        """Per-user comment streams in chronological order."""
-        streams: Dict[int, List[Comment]] = {}
-        for comment in self.comments(store):
-            streams.setdefault(comment.user_id, []).append(comment)
-        for stream in streams.values():
-            stream.sort(key=lambda c: c.day)
-        return streams
+        return columns
 
     def apks(self, store: str) -> List[ApkRecord]:
         """All archived APK versions for a store, archive order."""
@@ -420,20 +417,11 @@ class SnapshotDatabase:
                 handle.write(json.dumps(record) + "\n")
                 lines += 1
         for store in self._store.comment_stores():
-            for comment in self.comments(store):
-                handle.write(
-                    json.dumps(
-                        {
-                            "kind": "comment",
-                            "store": store,
-                            "user_id": comment.user_id,
-                            "app_id": comment.app_id,
-                            "day": comment.day,
-                            "rating": comment.rating,
-                        }
-                    )
-                    + "\n"
-                )
+            columns = self.comment_columns(store)
+            for row in zip(*(columns[name].tolist() for name in COMMENT_COLUMNS)):
+                record = {"kind": "comment", "store": store}
+                record.update(zip(COMMENT_COLUMNS, row))
+                handle.write(json.dumps(record) + "\n")
                 lines += 1
         for store in self._store.apk_stores():
             for sequence, apk in enumerate(self.apks(store)):
@@ -492,7 +480,7 @@ _ROW_FIELDS = {
     "snapshot": tuple(
         field.name for field in fields(AppSnapshot) if field.name not in ("store", "day")
     ),
-    "comment": ("user_id", "app_id", "day", "rating"),
+    "comment": tuple(COMMENT_COLUMNS),
     "apk": tuple(field.name for field in fields(ApkRecord) if field.name != "store"),
 }
 #: The fields each record kind must carry.  An APK record may also carry

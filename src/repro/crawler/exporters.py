@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.crawler.database import SnapshotDatabase
+from repro.store.schema import COMMENT_COLUMNS
 
 SNAPSHOT_CSV_HEADER = [
     "store",
@@ -105,18 +106,12 @@ def export_comments_csv(
         writer = csv.writer(handle)
         writer.writerow(COMMENT_CSV_HEADER)
         for store_name in stores:
-            log = database.columnar.comment_log(store_name)
-            if log is None or len(log) == 0:
-                continue
-            columns = log.arrays()
+            columns = database.comment_columns(store_name)
             n_rows = int(columns["user_id"].size)
             writer.writerows(
                 zip(
                     [store_name] * n_rows,
-                    columns["user_id"].tolist(),
-                    columns["app_id"].tolist(),
-                    columns["day"].tolist(),
-                    columns["rating"].tolist(),
+                    *(columns[name].tolist() for name in COMMENT_COLUMNS),
                 )
             )
             rows += n_rows

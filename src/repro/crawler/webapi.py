@@ -24,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.crawler.ratelimit import RateLimitExceeded, TokenBucket
-from repro.marketplace.entities import AppStatistics, Comment
+from repro.marketplace.entities import AppStatistics
 from repro.marketplace.store import AppStore
 from repro.resilience.faults import FaultInjector, FaultKind
 
@@ -232,8 +234,9 @@ class StoreWebApi:
 
     def app_comments(
         self, app_id: int, client: str, country: str, now: float
-    ) -> List[Comment]:
-        """All public comments of an app (with timestamps and ratings)."""
+    ) -> np.ndarray:
+        """All public comments of an app in posting order, as read-only
+        ``(n, 4)`` int64 rows of ``(user_id, app_id, day, rating)``."""
         self._admit(client, country, now)
         return self._store.comments_for_app(app_id)
 

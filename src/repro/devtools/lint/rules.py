@@ -70,6 +70,7 @@ VECTORIZED_MODULE_SCOPES = BATCHED_MODULE_SUFFIXES + (
     "repro/workload/sharding.py",
     "repro/analysis/adlib.py",
     "repro/analysis/comments.py",
+    "repro/analysis/spam.py",
     "repro/analysis/dataset.py",
     "repro/analysis/report.py",
     "repro/analysis/strategies.py",

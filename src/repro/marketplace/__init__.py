@@ -11,7 +11,8 @@ scale parameters are calibrated per store to Table 1 of the paper.
 Layout
 ------
 - :mod:`repro.marketplace.entities` -- the data model (apps, developers,
-  comments, versions, APK packages; users are arrays held by the store).
+  versions, APK packages; users and comments are arrays held by the
+  store).
 - :mod:`repro.marketplace.catalog` -- category taxonomies per store.
 - :mod:`repro.marketplace.pricing` -- price assignment for paid apps.
 - :mod:`repro.marketplace.ads` -- the ad-network catalog and ad-library
@@ -27,14 +28,7 @@ Layout
 """
 
 from repro.marketplace.catalog import CategoryTaxonomy, default_taxonomy
-from repro.marketplace.entities import (
-    ApkPackage,
-    App,
-    AppVersion,
-    Comment,
-    Developer,
-    DownloadRecord,
-)
+from repro.marketplace.entities import ApkPackage, App, AppVersion, Developer
 from repro.marketplace.generator import build_store
 from repro.marketplace.profiles import (
     StoreProfile,
@@ -49,9 +43,7 @@ __all__ = [
     "AppStore",
     "AppVersion",
     "CategoryTaxonomy",
-    "Comment",
     "Developer",
-    "DownloadRecord",
     "StoreProfile",
     "build_store",
     "default_taxonomy",

@@ -4,7 +4,8 @@ These entities mirror the attributes the paper's crawler collects for each
 app: number of downloads, user ratings and comments, current version,
 category, price, and developer information, plus the APK binary itself
 (represented here by :class:`ApkPackage` metadata, which is what the
-ad-library scanner inspects).
+ad-library scanner inspects).  A comment is not an entity: the store
+keeps comments as ``(user_id, app_id, day, rating)`` rows.
 """
 
 from __future__ import annotations
@@ -132,34 +133,6 @@ class App:
     def update_count(self) -> int:
         """Number of updates after the initial release."""
         return max(0, len(self.versions) - 1)
-
-
-@dataclass(frozen=True)
-class Comment:
-    """A public user comment, with the rating the paper requires.
-
-    The paper only trusts comments accompanied by a rating as download
-    evidence; every synthetic comment carries one.
-    """
-
-    user_id: int
-    app_id: int
-    day: int
-    rating: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.rating <= 5:
-            raise ValueError(f"rating must be 1..5, got {self.rating}")
-
-
-@dataclass(frozen=True)
-class DownloadRecord:
-    """A single (user, app, day) download event."""
-
-    user_id: int
-    app_id: int
-    day: int
-    is_update: bool = False
 
 
 @dataclass

@@ -26,7 +26,7 @@ stores' web pages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,13 +34,7 @@ from repro.core.engine import DownloadLedger, VisitedClusters
 from repro.marketplace.behavior import DownloadBehavior
 from repro.marketplace.catalog import CategoryTaxonomy
 from repro.marketplace.segments import SegmentedPopulation
-from repro.marketplace.entities import (
-    App,
-    AppStatistics,
-    AppVersion,
-    Comment,
-    DownloadRecord,
-)
+from repro.marketplace.entities import App, AppStatistics, AppVersion
 
 
 @dataclass
@@ -91,6 +85,24 @@ def _checked_users(
     if not activity.sum() > 0:
         raise ValueError("user population has no activity")
     return activity, comment_probability
+
+
+def _block(users: np.ndarray, apps, day: int, last) -> np.ndarray:
+    """One ``(n, 4)`` int64 block of ``(user, app, day, last)`` rows;
+    ``apps`` and ``last`` may be scalars."""
+    block = np.empty((users.size, 4), dtype=np.int64)
+    block[:, 0] = users
+    block[:, 1] = apps
+    block[:, 2] = day
+    block[:, 3] = last
+    return block
+
+
+def _stacked(blocks: List[np.ndarray]) -> np.ndarray:
+    """Blocks of four-column rows as one array; ``(0, 4)`` when none."""
+    if not blocks:
+        return np.empty((0, 4), dtype=np.int64)
+    return np.concatenate(blocks)
 
 
 class AppStore:
@@ -158,9 +170,15 @@ class AppStore:
         self._rating_sums = np.zeros(len(apps), dtype=np.int64)
         # Every comment carries a rating, so this counts both.
         self._comment_counts = np.zeros(len(apps), dtype=np.int64)
-        self._comments: List[Comment] = []
-        self._comments_by_app: Dict[int, List[Comment]] = {}
-        self._download_log: List[DownloadRecord] = []
+        # One (n, 4) block of (user_id, app_id, day, rating) rows per day
+        # with comments, in posting order.
+        self._comment_blocks: List[np.ndarray] = []
+        # The comment rows stable-sorted by app, and each app's offset
+        # into them; built on the first page read after a day adds
+        # comments.
+        self._comments_by_app: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # (user_id, app_id, day, is_update) blocks, in event order.
+        self._download_blocks: List[np.ndarray] = []
         self._keep_download_log = keep_download_log
         self._daily_totals: List[DailyActivity] = []
 
@@ -279,17 +297,28 @@ class AppStore:
         """Cumulative downloads across all apps."""
         return int(self._downloads.sum())
 
-    def comments(self) -> List[Comment]:
-        """All public comments in posting order."""
-        return list(self._comments)
+    def comments(self) -> np.ndarray:
+        """All public comments in posting order, as ``(n, 4)`` int64 rows
+        of ``(user_id, app_id, day, rating)``."""
+        return _stacked(self._comment_blocks)
 
-    def comments_for_app(self, app_id: int) -> List[Comment]:
-        """Public comments on one app, in posting order."""
-        return list(self._comments_by_app.get(app_id, []))
+    def comments_for_app(self, app_id: int) -> np.ndarray:
+        """Public comments on one app in posting order, rows as in
+        :meth:`comments`: a read-only slice of the rows sorted by app."""
+        if self._comments_by_app is None:
+            rows = _stacked(self._comment_blocks)
+            by_app = rows[np.argsort(rows[:, 1], kind="stable")]
+            by_app.flags.writeable = False
+            counts = np.bincount(rows[:, 1], minlength=self.n_apps)
+            self._comments_by_app = by_app, np.concatenate(([0], np.cumsum(counts)))
+        by_app, offsets = self._comments_by_app
+        return by_app[offsets[app_id] : offsets[app_id + 1]]
 
-    def download_log(self) -> List[DownloadRecord]:
-        """The raw download event log (empty unless ``keep_download_log``)."""
-        return list(self._download_log)
+    def download_log(self) -> np.ndarray:
+        """The raw download events in event order, as ``(n, 4)`` int64
+        rows of ``(user_id, app_id, day, is_update)``; empty unless
+        ``keep_download_log``."""
+        return _stacked(self._download_blocks)
 
     def daily_activity(self) -> List[DailyActivity]:
         """Per-day activity summaries since store creation."""
@@ -375,12 +404,7 @@ class AppStore:
                 1,
             )
             if self._keep_download_log:
-                self._download_log.extend(
-                    DownloadRecord(
-                        user_id=user_id, app_id=app_id, day=day, is_update=True
-                    )
-                    for user_id in refreshed_users.tolist()
-                )
+                self._download_blocks.append(_block(refreshed_users, app_id, day, 1))
         return int(to_update.size)
 
     def _simulate_downloads(self, day: int) -> Tuple[int, int, int]:
@@ -434,10 +458,7 @@ class AppStore:
         ).reshape(self._downloads_by_segment.shape)
         purchases = int(np.count_nonzero(self._is_paid[apps]))
         if self._keep_download_log:
-            self._download_log.extend(
-                DownloadRecord(user_id=user_id, app_id=app_id, day=day)
-                for user_id, app_id in zip(users.tolist(), apps.tolist())
-            )
+            self._download_blocks.append(_block(users, apps, day, 0))
 
         commented = np.flatnonzero(
             self._rng.random(done.size) < self._comment_probability[users]
@@ -448,12 +469,9 @@ class AppStore:
             commented_apps, weights=ratings, minlength=n_apps
         ).astype(np.int64)
         self._comment_counts += np.bincount(commented_apps, minlength=n_apps)
-        for user_id, app_id, rating in zip(
-            commenters.tolist(), commented_apps.tolist(), ratings.tolist()
-        ):
-            comment = Comment(user_id=user_id, app_id=app_id, day=day, rating=rating)
-            self._comments.append(comment)
-            self._comments_by_app.setdefault(app_id, []).append(comment)
+        if commented.size:
+            self._comment_blocks.append(_block(commenters, commented_apps, day, ratings))
+            self._comments_by_app = None
         return int(done.size), purchases, int(commented.size)
 
     def _draw_round(self, users: np.ndarray, day: int) -> np.ndarray:

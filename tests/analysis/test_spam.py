@@ -1,5 +1,7 @@
 """Tests for repro.analysis.spam (spam-account detection)."""
 
+import json
+
 import pytest
 
 from repro.analysis.spam import (
@@ -7,7 +9,6 @@ from repro.analysis.spam import (
     volume_outlier_threshold,
 )
 from repro.crawler.database import SnapshotDatabase
-from repro.marketplace.entities import Comment
 from tests.rows import add_comments
 
 
@@ -17,10 +18,7 @@ def build_database(streams):
     comments = []
     for user_id, entries in streams.items():
         for index, (app_id, day) in enumerate(entries):
-            rating = (index % 5) + 1
-            comments.append(
-                Comment(user_id=user_id, app_id=app_id, day=day, rating=rating)
-            )
+            comments.append((user_id, app_id, day, (index % 5) + 1))
     add_comments(database, "s", comments)
     return database
 
@@ -122,3 +120,29 @@ class TestIntegrationWithCampaign:
             exclude_users=report.spam_user_ids,
         )
         assert study.n_users_analyzed <= report.n_users
+
+
+class TestRatingOutOfRange:
+    """A saved comment with a rating outside 1..5 fails where it is read,
+    from the JSONL file and from its packed copy alike."""
+
+    @pytest.mark.parametrize("rating", [0, 6])
+    def test_jsonl_and_packed_copies(self, tmp_path, rating):
+        path = tmp_path / "crawl.jsonl"
+        records = [
+            {"kind": "comment", "store": "s", "user_id": 1, "app_id": 2,
+             "day": 0, "rating": 4},
+            {"kind": "comment", "store": "s", "user_id": 3, "app_id": 2,
+             "day": 1, "rating": rating},
+        ]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        loaded = SnapshotDatabase.load(path)
+        loaded.pack(tmp_path / "crawl.cstore")
+        packed = SnapshotDatabase.load(tmp_path / "crawl.cstore")
+        message = f"store 's', comment row 1: rating must be 1..5, got {rating}"
+        for database in (loaded, packed):
+            assert database.n_comments("s") == 2
+            with pytest.raises(ValueError, match=message):
+                database.comment_columns("s")
+            with pytest.raises(ValueError, match=message):
+                detect_spam_users(database, "s")

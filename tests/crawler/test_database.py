@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.crawler.database import ApkRecord, AppSnapshot, SnapshotDatabase
-from repro.marketplace.entities import Comment
+from repro.store.schema import COMMENT_COLUMNS
 from tests.rows import add_apks, add_comments, add_snapshots
 
 
@@ -142,25 +142,39 @@ class TestSnapshots:
 class TestComments:
     def test_deduplication(self):
         database = SnapshotDatabase()
-        comment = Comment(user_id=1, app_id=2, day=3, rating=4)
+        comment = (1, 2, 3, 4)
         add_comments(database, "s", [comment])
         add_comments(database, "s", [comment])  # daily re-crawl
-        assert len(database.comments("s")) == 1
+        assert database.n_comments("s") == 1
 
-    def test_streams_chronological(self):
+    def test_columns_in_insertion_order(self):
         database = SnapshotDatabase()
-        add_comments(
-            database,
-            "s",
-            [
-                Comment(user_id=1, app_id=5, day=9, rating=3),
-                Comment(user_id=1, app_id=4, day=2, rating=5),
-                Comment(user_id=2, app_id=4, day=5, rating=1),
-            ],
+        add_comments(database, "s", [(1, 5, 9, 3), (1, 4, 2, 5), (2, 4, 5, 1)])
+        columns = database.comment_columns("s")
+        assert list(columns) == list(COMMENT_COLUMNS)
+        assert columns["user_id"].tolist() == [1, 1, 2]
+        assert columns["day"].tolist() == [9, 2, 5]
+        assert columns["rating"].tolist() == [3, 5, 1]
+
+    def test_store_without_comments(self):
+        columns = SnapshotDatabase().comment_columns("s")
+        assert list(columns) == list(COMMENT_COLUMNS)
+        assert all(
+            array.size == 0 and array.dtype == COMMENT_COLUMNS[name]
+            for name, array in columns.items()
         )
-        streams = database.comment_streams("s")
-        assert [c.day for c in streams[1]] == [2, 9]
-        assert len(streams[2]) == 1
+
+    def test_rating_bounds(self):
+        database = SnapshotDatabase()
+        add_comments(database, "s", [(1, 2, 0, 5)])
+        assert database.comment_columns("s")["rating"].tolist() == [5]
+        for rating in (0, 6):
+            database = SnapshotDatabase()
+            add_comments(database, "s", [(1, 2, 0, 3), (4, 2, 0, rating)])
+            with pytest.raises(
+                ValueError, match=f"store 's', comment row 1: .* got {rating}"
+            ):
+                database.comment_columns("s")
 
 
 class TestApks:
@@ -235,7 +249,7 @@ class TestPersistence:
                 snapshot(day=1, app_id=1, downloads=20),
             ],
         )
-        add_comments(database, "s", [Comment(user_id=1, app_id=1, day=0, rating=5)])
+        add_comments(database, "s", [(1, 1, 0, 5)])
         add_apks(database, [apk()])
         path = tmp_path / "crawl.jsonl"
         database.save(path)
@@ -243,7 +257,7 @@ class TestPersistence:
         loaded = SnapshotDatabase.load(path)
         assert loaded.days("s") == [0, 1]
         assert loaded.snapshot("s", 1, 1).total_downloads == 20
-        assert len(loaded.comments("s")) == 1
+        assert loaded.n_comments("s") == 1
         assert loaded.apks("s")[0].embedded_libraries == ("com.adrift.sdk",)
 
     def test_load_rejects_unknown_kind(self, tmp_path):

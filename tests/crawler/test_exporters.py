@@ -13,7 +13,6 @@ from repro.crawler.exporters import (
     export_comments_csv,
     export_snapshots_csv,
 )
-from repro.marketplace.entities import Comment
 from tests.rows import add_apks, add_comments, add_snapshots
 
 
@@ -56,7 +55,7 @@ class TestCommentExport:
     def test_all_comments_exported(self, demo_campaign, tmp_path):
         path = tmp_path / "comments.csv"
         rows = export_comments_csv(demo_campaign.database, path)
-        assert rows == len(demo_campaign.database.comments("demo"))
+        assert rows == demo_campaign.database.n_comments("demo")
 
     def test_ratings_in_range(self, demo_campaign, tmp_path):
         path = tmp_path / "comments.csv"
@@ -64,6 +63,10 @@ class TestCommentExport:
         with path.open() as handle:
             for record in csv.DictReader(handle):
                 assert 1 <= int(record["rating"]) <= 5
+
+
+#: The reference database's comments, all in store "alpha".
+COMMENTS = [(5, 1, 3, 4), (2, 2, 0, 1)]
 
 
 def reference_database():
@@ -95,14 +98,7 @@ def reference_database():
             ]
         ],
     )
-    add_comments(
-        database,
-        "alpha",
-        [
-            Comment(user_id=5, app_id=1, day=3, rating=4),
-            Comment(user_id=2, app_id=2, day=0, rating=1),
-        ],
-    )
+    add_comments(database, "alpha", COMMENTS)
     add_apks(
         database,
         [
@@ -167,17 +163,8 @@ class TestByteIdentity:
         with reference.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(COMMENT_CSV_HEADER)
-            for store in database.stores():
-                for comment in database.comments(store):
-                    writer.writerow(
-                        [
-                            store,
-                            comment.user_id,
-                            comment.app_id,
-                            comment.day,
-                            comment.rating,
-                        ]
-                    )
+            for user_id, app_id, day, rating in COMMENTS:
+                writer.writerow(["alpha", user_id, app_id, day, rating])
         exported = tmp_path / "exported.csv"
         export_comments_csv(database, exported)
         assert exported.read_bytes() == reference.read_bytes()

@@ -139,5 +139,5 @@ class TestMultiStoreCampaign:
             profiles, seed=3, fetch_comments_for=["with-comments"]
         )
         database = campaigns["with-comments"].database
-        assert database.comments("with-comments")
-        assert not database.comments("without-comments")
+        assert database.n_comments("with-comments")
+        assert not database.n_comments("without-comments")

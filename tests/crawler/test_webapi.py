@@ -1,5 +1,6 @@
 """Tests for repro.crawler.webapi."""
 
+import numpy as np
 import pytest
 
 from repro.crawler.ratelimit import RateLimitExceeded
@@ -74,8 +75,9 @@ class TestAppPage:
         )
         assert app_with_comments is not None
         comments = api.app_comments(app_with_comments, "c1", "us", now=0.0)
-        assert comments
-        assert all(c.app_id == app_with_comments for c in comments)
+        assert comments.dtype == np.int64 and comments.shape[1] == 4
+        assert comments.shape[0] == store.statistics(app_with_comments).comment_count
+        assert np.all(comments[:, 1] == app_with_comments)
 
     def test_apk_download(self, store):
         api = open_api(store)

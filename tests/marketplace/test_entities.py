@@ -7,7 +7,6 @@ from repro.marketplace.entities import (
     App,
     AppStatistics,
     AppVersion,
-    Comment,
     Developer,
 )
 
@@ -69,15 +68,6 @@ class TestApp:
         app.versions.append(AppVersion("1.1", 5, apk))
         assert app.current_version.version_name == "1.1"
         assert app.update_count == 1
-
-
-class TestComment:
-    def test_rating_bounds(self):
-        Comment(user_id=1, app_id=2, day=0, rating=5)
-        with pytest.raises(ValueError):
-            Comment(user_id=1, app_id=2, day=0, rating=0)
-        with pytest.raises(ValueError):
-            Comment(user_id=1, app_id=2, day=0, rating=6)
 
 
 class TestDeveloper:

@@ -234,15 +234,7 @@ class TestSingleSegmentExactness:
         assert np.array_equal(
             plain.store.download_counts(), seg.store.download_counts()
         )
-        plain_comments = [
-            (c.app_id, c.user_id, c.day, c.rating)
-            for c in plain.store.comments()
-        ]
-        seg_comments = [
-            (c.app_id, c.user_id, c.day, c.rating)
-            for c in seg.store.comments()
-        ]
-        assert plain_comments == seg_comments
+        assert np.array_equal(plain.store.comments(), seg.store.comments())
 
     def test_equal_param_partition_reproduces_global(self):
         """Any identical-parameter partition is the global profile."""

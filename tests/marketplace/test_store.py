@@ -53,9 +53,15 @@ class TestLedgerConservation:
         log = advanced_store.download_log()
         counts = advanced_store.download_counts()
         from_log = np.zeros_like(counts)
-        for record in log:
-            from_log[record.app_id] += 1
+        for _, app_id, _, _ in log.tolist():
+            from_log[app_id] += 1
         assert np.array_equal(counts, from_log)
+
+    def test_log_rows(self, advanced_store):
+        log = advanced_store.download_log()
+        assert log.dtype == np.int64 and log.shape[1] == 4
+        assert set(log[:, 3].tolist()) <= {0, 1}
+        assert np.all(np.diff(log[:, 2]) >= 0)  # event order is day order
 
     def test_total_downloads_consistent(self, advanced_store):
         assert advanced_store.total_downloads() == int(
@@ -65,9 +71,9 @@ class TestLedgerConservation:
     def test_fetch_at_most_once_in_log(self, advanced_store):
         """No user downloads the same app twice, except after updates."""
         seen = set()
-        for record in advanced_store.download_log():
-            key = (record.user_id, record.app_id)
-            if record.is_update:
+        for user_id, app_id, _, is_update in advanced_store.download_log().tolist():
+            key = (user_id, app_id)
+            if is_update:
                 assert key in seen  # updates only go to existing owners
             else:
                 assert key not in seen
@@ -77,25 +83,91 @@ class TestLedgerConservation:
 class TestComments:
     def test_comments_reference_real_downloads(self, advanced_store):
         downloads = {
-            (record.user_id, record.app_id)
-            for record in advanced_store.download_log()
+            (user_id, app_id)
+            for user_id, app_id, _, _ in advanced_store.download_log().tolist()
         }
-        for comment in advanced_store.comments():
-            assert (comment.user_id, comment.app_id) in downloads
+        for user_id, app_id, _, _ in advanced_store.comments().tolist():
+            assert (user_id, app_id) in downloads
 
     def test_comment_counters_match(self, advanced_store):
         comments = advanced_store.comments()
         for app_id in advanced_store.listed_app_ids():
             stats = advanced_store.statistics(app_id)
-            expected = sum(1 for c in comments if c.app_id == app_id)
+            expected = int(np.count_nonzero(comments[:, 1] == app_id))
             assert stats.comment_count == expected
 
     def test_rating_sums_consistent(self, advanced_store):
         comments = advanced_store.comments()
         for app_id in advanced_store.listed_app_ids()[:50]:
             stats = advanced_store.statistics(app_id)
-            expected = sum(c.rating for c in comments if c.app_id == app_id)
+            expected = int(comments[comments[:, 1] == app_id, 3].sum())
             assert stats.rating_sum == expected
+
+    def test_comment_rows(self, advanced_store):
+        comments = advanced_store.comments()
+        assert comments.dtype == np.int64 and comments.shape[1] == 4
+        assert comments.shape[0] > 0
+        assert np.all((comments[:, 3] >= 1) & (comments[:, 3] <= 5))
+        assert np.all(np.diff(comments[:, 2]) >= 0)  # posting order
+
+
+def _sparse_store():
+    """Few downloads over many apps, so some apps get no comment."""
+    profile = demo_profile(
+        initial_apps=300, n_users=100, n_categories=6, daily_downloads=200.0,
+        warmup_days=0, comment_probability=0.3,
+    )
+    return build_store(profile, seed=5).store
+
+
+def _page_by_mask(store, app_id):
+    comments = store.comments()
+    return comments[comments[:, 1] == app_id]
+
+
+class TestCommentPages:
+    """``comments_for_app`` equals a mask over ``comments()``."""
+
+    def test_every_app_after_several_days(self, advanced_store):
+        pages = 0
+        for app_id in range(advanced_store.n_apps):
+            page = advanced_store.comments_for_app(app_id)
+            assert page.dtype == np.int64 and page.shape[1] == 4
+            assert np.array_equal(page, _page_by_mask(advanced_store, app_id))
+            pages += page.shape[0] > 0
+        assert pages > 10
+
+    def test_app_without_comments(self):
+        store = _sparse_store()
+        store.advance_days(3)
+        counts = np.bincount(store.comments()[:, 1], minlength=store.n_apps)
+        assert counts.sum() > 0
+        quiet = np.flatnonzero(counts == 0)
+        assert quiet.size > 0
+        for app_id in quiet.tolist():
+            assert store.comments_for_app(app_id).shape == (0, 4)
+
+    def test_pages_are_read_only(self, advanced_store):
+        app_id = int(advanced_store.comments()[0, 1])
+        page = advanced_store.comments_for_app(app_id)
+        with pytest.raises(ValueError):
+            page[0, 3] = 5
+
+    def test_read_before_and_after_a_day(self):
+        store = _sparse_store()
+        assert store.comments().shape == (0, 4)
+        assert store.comments_for_app(0).shape == (0, 4)
+        store.advance_days(2)
+        before = {app: store.comments_for_app(app).copy() for app in range(store.n_apps)}
+        store.advance_day()
+        grown = 0
+        for app_id in range(store.n_apps):
+            after = store.comments_for_app(app_id)
+            assert np.array_equal(after, _page_by_mask(store, app_id))
+            # A page only grows: the day's comments come after the old ones.
+            assert np.array_equal(after[: before[app_id].shape[0]], before[app_id])
+            grown += after.shape[0] > before[app_id].shape[0]
+        assert grown > 0
 
 
 class TestStatistics:
@@ -179,7 +251,7 @@ class TestUserArrays:
         store = make_store(generated, np.ones(3), comments, rate=50.0)
         comments[:] = 1.0
         assert sum(day.downloads for day in store.advance_days(2)) > 0
-        assert store.comments() == []
+        assert store.comments().shape == (0, 4)
 
 
 class TestHeavyAccounts:
@@ -222,5 +294,6 @@ class TestHeavyAccounts:
         monkeypatch.setattr(AppStore, "_draw_round", counted)
         store.advance_days(3)
         assert max(rounds.count(day) for day in range(3)) <= MAX_ROUNDS
-        owned = [r.app_id for r in store.download_log() if r.user_id == busy]
+        log = store.download_log()
+        owned = log[log[:, 0] == busy, 1].tolist()
         assert len(owned) == len(set(owned)) == n_apps

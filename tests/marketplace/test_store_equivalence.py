@@ -161,7 +161,7 @@ def _batched_log(seed):
         keep_download_log=True,
     )
     store.advance_days(DAYS)
-    return [(record.user_id, record.app_id) for record in store.download_log()]
+    return [(user, app) for user, app, _, _ in store.download_log().tolist()]
 
 
 def _statistics(log):

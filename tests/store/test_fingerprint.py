@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.crawler.database import ApkRecord, AppSnapshot, SnapshotDatabase
-from repro.marketplace.entities import Comment
 from repro.store import ColumnarStore, Difference, first_difference
 from repro.store.chunks import SnapshotChunk
 from repro.store.fingerprint import _sorted_rows
@@ -149,10 +148,7 @@ class TestCanonicalBytes:
 
     def test_log_order_does_not_change_the_fingerprint(self):
         comments = [
-            Comment(user_id=user, app_id=app, day=day, rating=rating)
-            for user, app, day, rating in [
-                (2, 1, 4, 5), (1, 3, 4, 2), (1, 1, 5, 1), (1, 1, 4, 3), (2**62, 0, 1, 1),
-            ]
+            (2, 1, 4, 5), (1, 3, 4, 2), (1, 1, 5, 1), (1, 1, 4, 3), (2**62, 0, 1, 1),
         ]
         apks = [apk(2, version="1.10"), apk(2, version="1.9"), apk(1, version="2.0")]
         forward = database_of(comments=comments, apks=apks)
@@ -181,7 +177,7 @@ class TestFirstDifference:
         database = SnapshotDatabase()
         add_apks(database, [apk(1, ("com.ads",), version="2.0")])
         add_snapshots(database, [snapshot(1), snapshot(2, day=4)])
-        add_comments(database, "s", [Comment(user_id=1, app_id=2, day=4, rating=5)])
+        add_comments(database, "s", [(1, 2, 4, 5)])
         database.save(tmp_path / "copy.jsonl")
         database.pack(tmp_path / "copy.cstore")
         copies = [
@@ -232,11 +228,8 @@ class TestFirstDifference:
         )
 
     def test_names_a_changed_comment_by_canonical_row(self):
-        comments = [
-            Comment(user_id=user, app_id=app, day=2, rating=3)
-            for user, app in [(5, 1), (1, 9), (3, 4)]
-        ]
-        changed = comments[:2] + [Comment(user_id=3, app_id=4, day=2, rating=1)]
+        comments = [(user, app, 2, 3) for user, app in [(5, 1), (1, 9), (3, 4)]]
+        changed = comments[:2] + [(3, 4, 2, 1)]
         difference = first_difference(
             database_of(comments=comments).columnar,
             database_of(comments=changed).columnar,
@@ -258,9 +251,7 @@ class TestFirstDifference:
     )
     def test_names_the_first_row_a_shorter_log_lacks(self, log, kept, expected):
         rows = {
-            "comments": [
-                Comment(user_id=1, app_id=app, day=2, rating=3) for app in (1, 2)
-            ],
+            "comments": [(1, app, 2, 3) for app in (1, 2)],
             "apks": [apk(1, version="1.0"), apk(1, version="2.0"), apk(2)],
         }[log]
         difference = first_difference(
