@@ -399,5 +399,5 @@ class EcosystemService:
         )
         if committed.apks_stored:
             data.counter("service.apks_archived").add(committed.apks_stored)
-        if committed.comments_offered:
-            data.counter("service.comments_ingested").add(committed.comments_offered)
+        if committed.comments_stored:
+            data.counter("service.comments_ingested").add(committed.comments_stored)

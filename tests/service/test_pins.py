@@ -29,7 +29,7 @@ DAYS = 4
 RPS = 8.0
 
 FINGERPRINT = "740fa2e5e97dc3bdb3633233533c44e40f93abd49ab39fb60050cb92d9ca49ac"
-DATA_PLANE = "e9cfdb716c7c7e7225d2244623fa536662de936c09fa4bd61f9a7bbef74f0434"
+DATA_PLANE = "fe9b895a8e47bb80896a66673fdd0c557aa77826fc88ed1d88a5c13135b74082"
 
 # (plan, clients) -> (worker restarts, trace sha256, traffic-plane sha256)
 PINS = {

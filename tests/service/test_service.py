@@ -90,6 +90,16 @@ class TestBatchParity:
         live_vector = service.database.download_vector(store, last)
         assert (batch_vector == live_vector).all()
 
+    def test_report_counts_the_rows_the_logs_kept(self):
+        """Comments re-fetched on later days are not counted again."""
+        service, report, traffic = run_service(2)
+        store = service.store.name
+        assert report.comments_ingested == service.database.n_comments(store) > 0
+        assert report.comments_ingested == int(
+            traffic.counter("store.rows_ingested.comments").value
+        )
+        assert report.apks_archived == len(service.database.columnar.apk_log(store))
+
     def test_data_plane_is_invariant_in_client_count(self):
         snapshots = []
         for n_clients in (1, 2, 4):
