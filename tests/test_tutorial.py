@@ -1,7 +1,7 @@
 """The tutorial's console blocks against real runs.
 
-Sections 12 and 14 of ``docs/tutorial.md`` show what ``repro`` commands
-print.  Each test runs the ``$`` commands of one section's blocks in a
+Sections 10, 12 and 14 of ``docs/tutorial.md`` show what ``repro``
+commands print.  Each test runs the ``$`` commands of one section's blocks in a
 fresh directory, in order, and compares the output line by line with
 the block; a block line containing ``...`` matches when its parts appear
 in the output line in order, the first at its start and the last at its
@@ -22,9 +22,10 @@ from repro.cli import main
 
 TUTORIAL = Path(__file__).resolve().parents[1] / "docs" / "tutorial.md"
 
-# Section number -> how many of its console blocks to run (section 14's
-# second block, a load-generator run, is not checked).
-SECTIONS = {12: 4, 14: 1}
+# Section number -> how many of its console blocks to run (section 10's
+# second block, a shell diff of two runs, and section 14's second, a
+# load-generator run, are not checked).
+SECTIONS = {10: 1, 12: 4, 14: 1}
 
 _EDITED = re.compile(r"day (\d+), column total_downloads, app (\d+):")
 
