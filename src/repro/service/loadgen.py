@@ -10,16 +10,16 @@ clients, and reports what the traffic plane saw -- rate-limit hits,
 transient faults, breaker skips, end-to-end latency.  Nothing is
 written to a database.
 
-Like everything in :mod:`repro.service`, it runs on the virtual clock:
-a multi-hour load test completes in milliseconds and is exactly
-reproducible from its seed.
+Like everything in :mod:`repro.service`, it runs on the virtual clock
+of a :class:`~repro.service.virtualtime.Scheduler`: a multi-hour load
+test completes in milliseconds and is exactly reproducible from its
+seed.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Generator, List, Optional
 
 from repro.crawler.proxies import ProxyPool
 from repro.crawler.requesting import CrawlError
@@ -30,8 +30,8 @@ from repro.marketplace.profiles import StoreProfile
 from repro.obs.metrics import get_registry
 from repro.resilience.errors import WorkerCrashed
 from repro.resilience.faults import FaultInjector, FaultPlan
-from repro.service.client import AsyncCrawlClient
-from repro.service.virtualtime import run_virtual
+from repro.service.client import CrawlClient
+from repro.service.virtualtime import Scheduler
 from repro.stats.rng import SeedLike, derive_seed, make_rng
 
 __all__ = ["LoadGenerator", "LoadReport"]
@@ -124,11 +124,13 @@ class LoadGenerator:
         )
         self.requests_per_client = requests_per_client
         traffic = get_registry()
+        self._scheduler = Scheduler()
         self.clients = [
-            AsyncCrawlClient(
+            CrawlClient(
                 name=f"loadgen-{index}",
                 api=self.api,
                 proxy_pool=self.proxy_pool,
+                scheduler=self._scheduler,
                 requests_per_second=requests_per_second,
                 fault_injector=self.fault_injector,
                 seed=derive_seed(base_seed, "crawler-retry", index),
@@ -138,34 +140,24 @@ class LoadGenerator:
         ]
 
     def run(self) -> LoadReport:
-        """Run the bounded load test on a fresh virtual clock."""
-        return run_virtual(self.generate())
+        """Run the bounded load test on the generator's virtual clock."""
+        return self._scheduler.run(self._generate())
 
-    async def generate(self) -> LoadReport:
-        """The load loop itself, awaitable on any event loop."""
-        loop = asyncio.get_running_loop()
+    def _generate(self) -> Generator[object, object, LoadReport]:
+        """The load loop itself: a scheduler task."""
+        scheduler = self._scheduler
         self.store.advance_days(self.profile.warmup_days)
         listed = self.store.listed_app_ids()
         if not listed:
             raise RuntimeError(
                 f"store {self.store.name!r} has no listed apps to load-test"
             )
-        started = loop.time()
+        started = scheduler.now
         outcomes: List[int] = [0, 0, 0]
-        tasks = [
-            loop.create_task(
-                self._client_loop(client, offset, listed, outcomes),
-                name=f"{client.name}/loop",
-            )
+        yield [
+            self._client_loop(client, offset, listed, outcomes)
             for offset, client in enumerate(self.clients)
         ]
-        try:
-            await asyncio.gather(*tasks)
-        except BaseException:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            raise
         return LoadReport(
             store_name=self.store.name,
             n_clients=len(self.clients),
@@ -173,16 +165,16 @@ class LoadGenerator:
             requests_ok=outcomes[0],
             requests_failed=outcomes[1],
             worker_crashes=outcomes[2],
-            virtual_seconds=loop.time() - started,
+            virtual_seconds=scheduler.now - started,
         )
 
-    async def _client_loop(
+    def _client_loop(
         self,
-        client: AsyncCrawlClient,
+        client: CrawlClient,
         offset: int,
         listed: List[int],
         outcomes: List[int],
-    ) -> None:
+    ) -> Generator[object, object, None]:
         """One client's request budget, round-robin over the listing.
 
         Clients start at staggered listing offsets so the fleet spreads
@@ -194,7 +186,7 @@ class LoadGenerator:
             app_id = listed[position]
             position = (position + 1) % len(listed)
             try:
-                await client.request(self.api.app_page, app_id)
+                yield from client.request(self.api.app_page, app_id)
             except WorkerCrashed:
                 # A scheduled crash kills the worker process mid-request;
                 # the operator loop restarts it and the budget goes on.

@@ -1,213 +1,310 @@
-"""A deterministic virtual-clock asyncio event loop.
+"""A deterministic virtual-clock scheduler of generator tasks.
 
 The always-on service simulates months of store time; waiting those
 months out on the wall clock would make soak tests (and the service
-itself) unrunnable.  This module provides an event loop whose ``time()``
-is *virtual*: whenever every task is blocked waiting on a timer, the
-loop jumps the clock straight to the earliest deadline instead of
-selecting on the OS.  ``await asyncio.sleep(3600)`` completes in
-microseconds of wall time while still ordering tasks exactly as a real
-hour would.
+itself) unrunnable.  A task here is a generator, and it can wait on two
+things only:
 
-Two properties make this the right substrate for the test archetype:
+- ``now = yield delay`` sleeps ``delay`` seconds of virtual time and is
+  sent the clock when it wakes;
+- ``results = yield [child, ...]`` runs the child generators as tasks
+  and is sent their return values, in order, once all have finished.
+  When a child raises, its siblings are cancelled (:class:`TaskCancelled`
+  is thrown into them) and, once they have finished, the child's
+  exception is thrown into the parent.
 
-- **Determinism.**  The program is single-threaded and performs no OS
-  I/O, so the only scheduling inputs are the ready queue (FIFO) and the
-  timer heap (ordered by deadline, ties by creation order) -- both pure
-  functions of the program.  Two runs of the same seeded workload
-  interleave identically, which is what lets the service promise
-  byte-identical datasets and metrics.
-- **Liveness checking.**  If every task is blocked and *no* timer is
-  pending, a real loop would hang forever.  Here that state is
-  detectable, and :class:`VirtualTimeDeadlock` turns a hung soak test
-  into an immediate, debuggable failure.
+Whenever no task is ready the clock jumps to the next timer, so an
+hour's sleep takes microseconds.  A task that waits only on time or on
+its own children can neither deadlock nor leak: every waiting task has a
+timer or a live child below it, and a parent outlives its children.
 
-:func:`run_virtual` is the entry point used by both ``repro serve`` and
-the ``tests/service`` harness; it also fails loudly on leaked tasks
-(:class:`TaskLeakError`), making "no task leaks" a checked invariant
-rather than a hope.
+The scheduler resumes tasks in exactly the order an asyncio event loop
+on a virtual clock resumes the same program written with
+``asyncio.sleep``, ``create_task`` and ``gather`` (with the parent's
+cancel-then-gather clean-up on a failed child), so moving the service
+off asyncio moved no byte of its output:
+
+- a *pass* runs every entry that was ready when it began, first in first
+  out; what they make ready runs in the next pass;
+- the timer heap compares due times only, so tied timers leave it in
+  the heap's own order, as asyncio's ``TimerHandle`` do;
+- the clock moves only at the start of a pass with nothing ready, by
+  ``now += when - now`` for the earliest timer, at most 86,400 s a pass;
+- a timer due within 1e-9 s of the clock fires in that pass and readies
+  its task, which runs one pass later; a delay of zero or less readies
+  the task for the next pass;
+- a finished child is counted by its parent's group one pass later, and
+  the last one readies the parent one pass after that;
+- a cancelled sleeper's timer stays on the heap, flagged when the
+  sleeper takes its cancellation, until it reaches the top at the start
+  of a pass; a heap of more than 100 timers, over half of them flagged,
+  is rebuilt without them.
+
+:meth:`Scheduler.run` steps its task at once, as a parent continuing
+its own step would, and returns when the task finishes; the clock and
+the heap carry over to the next call.
 """
 
 from __future__ import annotations
 
-import asyncio
-import selectors
-from typing import Any, Coroutine, List, Optional
+from collections import deque
+from heapq import heapify, heappop, heappush
+from typing import Generator, List, Optional
 
-__all__ = [
-    "TaskLeakError",
-    "VirtualClockEventLoop",
-    "VirtualTimeDeadlock",
-    "run_virtual",
-]
+__all__ = ["Scheduler", "TaskCancelled"]
+
+#: The longest jump of the clock in one pass (asyncio's longest select).
+_MAX_JUMP = 86400.0
+#: Timers due before ``now`` plus this fire together (asyncio's clock
+#: resolution: the monotonic clock's, one nanosecond on Linux).
+_RESOLUTION = 1e-9
+#: A heap holding more timers than this is rebuilt when over half of
+#: them are flagged.
+_REBUILD_ABOVE = 100
+#: The ``value`` of a task that has not started: its first step sends None.
+_START = object()
 
 
-class VirtualTimeDeadlock(RuntimeError):
-    """Every task is blocked and no timer is pending: time cannot advance.
+class TaskCancelled(BaseException):
+    """Thrown into a task whose sibling failed, so it stops where it waits.
 
-    On a wall-clock loop this state is an invisible hang; on the virtual
-    loop it is raised synchronously out of ``run_until_complete`` so the
-    offending await shows up in the traceback.
+    A ``BaseException``, like asyncio's ``CancelledError``: an ``except
+    Exception`` clause in the task does not swallow it.
     """
 
 
-class TaskLeakError(RuntimeError):
-    """The driven coroutine finished but left other tasks running.
+class _Task:
+    """One generator's scheduling state."""
 
-    Attributes
-    ----------
-    task_names:
-        ``Task.get_name()`` of every task still pending when the main
-        coroutine returned (they are cancelled before this is raised).
+    __slots__ = (
+        "gen", "timer", "value", "error", "must_cancel", "group", "groups",
+        "done", "result", "failure",
+    )
+
+    def __init__(self, gen: Generator) -> None:
+        self.gen = gen
+        # The heap entry ``[when, task]`` this task sleeps on.
+        self.timer: Optional[list] = None
+        # The next step sends ``value`` (the clock when None) or throws
+        # ``error``; ``must_cancel`` turns either into a cancellation.
+        self.value = _START
+        self.error: Optional[BaseException] = None
+        self.must_cancel = False
+        # The group this task waits on, and the groups waiting on it.
+        self.group: Optional[_Group] = None
+        self.groups: List[_Group] = []
+        self.done = False
+        self.result = None
+        self.failure: Optional[BaseException] = None
+
+    # Tied heap entries compare their tasks, and neither may come out
+    # less: the heap then orders ties as it would timers compared by
+    # due time alone.
+    def __lt__(self, other) -> bool:
+        return False
+
+    __gt__ = __lt__
+
+
+class _Group:
+    """The children a task waits on.
+
+    A fan-out group fails on its first failed child; the clean-up group
+    the parent waits on after that counts every child and then hands
+    the parent ``failure`` to throw.
     """
 
-    def __init__(self, task_names: List[str]) -> None:
-        listed = ", ".join(sorted(task_names))
-        super().__init__(
-            f"{len(task_names)} task(s) still pending after the main "
-            f"coroutine finished: {listed}"
-        )
-        self.task_names = sorted(task_names)
+    __slots__ = ("waiter", "children", "finished", "done", "cancel_requested",
+                 "failure")
+
+    def __init__(
+        self,
+        waiter: _Task,
+        children: List[_Task],
+        failure: Optional[BaseException] = None,
+    ) -> None:
+        self.waiter = waiter
+        self.children = children
+        self.finished = 0
+        self.done = False
+        self.cancel_requested = False
+        self.failure = failure
 
 
-class _VirtualSelector:
-    """Selector shim: never blocks; converts select timeouts into time jumps.
+class Scheduler:
+    """Generator tasks on one virtual clock; see the module docstring.
 
-    The loop computes ``timeout`` as the delta to its earliest timer and
-    asks the selector to wait that long.  With no real I/O to wait for,
-    waiting is pointless -- so the shim advances the loop's virtual clock
-    by the timeout and returns immediately, which makes the timer due on
-    the next iteration.  A ``None`` timeout means the loop has neither
-    ready callbacks nor timers: that is a deadlock, not a wait.
+    ``now`` is the clock, in seconds from 0.
     """
 
     def __init__(self) -> None:
-        self._real = selectors.DefaultSelector()
-        self.loop: Optional["VirtualClockEventLoop"] = None
+        self.now = 0.0
+        self._ready: deque = deque()
+        self._timers: List[list] = []
+        self._flagged = 0
 
-    # The event loop registers its self-pipe (and nothing else) with the
-    # selector; those registrations must be serviced for the loop's own
-    # bookkeeping even though the pipe never becomes ready in a
-    # single-threaded virtual-time run.
-    def register(self, fileobj, events, data=None):
-        return self._real.register(fileobj, events, data)
+    def run(self, task: Generator):
+        """Run ``task`` to its end and return its value (or raise its
+        exception)."""
+        root = _Task(task)
+        self._step(root)
+        while not root.done:
+            self._pass()
+        if root.failure is not None:
+            raise root.failure
+        return root.result
 
-    def unregister(self, fileobj):
-        return self._real.unregister(fileobj)
+    # ------------------------------------------------------------------
+    # One pass
+    # ------------------------------------------------------------------
 
-    def modify(self, fileobj, events, data=None):
-        return self._real.modify(fileobj, events, data)
+    def _pass(self) -> None:
+        ready, timers = self._ready, self._timers
+        if len(timers) > _REBUILD_ABOVE and self._flagged * 2 > len(timers):
+            timers[:] = [entry for entry in timers if entry[1] is not None]
+            heapify(timers)
+            self._flagged = 0
+        else:
+            while timers and timers[0][1] is None:
+                heappop(timers)
+                self._flagged -= 1
+        if not ready and timers:
+            jump = timers[0][0] - self.now
+            if jump > _MAX_JUMP:
+                jump = _MAX_JUMP
+            if jump > 0:
+                self.now += jump
+        end = self.now + _RESOLUTION
+        fired = []
+        while timers and timers[0][0] < end:
+            entry = heappop(timers)
+            if entry[1] is not None:
+                fired.append(entry[1])
+                entry[1] = None
+        for _ in range(len(ready)):
+            entry = ready.popleft()
+            if entry.__class__ is _Task:
+                self._step(entry)
+            else:
+                self._child_done(*entry)
+        for task in fired:
+            # Not if the task was cancelled while its timer was due.
+            if task.timer is not None and task.error is None:
+                task.timer = None
+                ready.append(task)
 
-    def get_map(self):
-        return self._real.get_map()
-
-    def get_key(self, fileobj):
-        return self._real.get_key(fileobj)
-
-    def close(self) -> None:
-        self._real.close()
-
-    def select(self, timeout: Optional[float] = None):
-        # A zero-timeout poll keeps signal wakeups (self-pipe writes)
-        # working should they ever occur; in the deterministic
-        # single-threaded case this returns [] instantly.
-        events = self._real.select(0)
-        if events:
-            return events
-        if timeout is None:
-            raise VirtualTimeDeadlock(
-                "all tasks are blocked and no timer is scheduled; "
-                "virtual time cannot advance (deadlocked await chain?)"
-            )
-        if timeout > 0 and self.loop is not None:
-            self.loop.advance(timeout)
-        return []
-
-
-class VirtualClockEventLoop(asyncio.SelectorEventLoop):
-    """A selector event loop running on virtual time.
-
-    ``loop.time()`` starts at ``start`` and only moves when the loop
-    would otherwise block: the would-be select timeout is added to the
-    clock instead of being slept.  All of asyncio's timer-based
-    machinery (``sleep``, ``wait_for``, timeouts on queues and events)
-    works unchanged -- instantly, deterministically.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._virtual_now = float(start)
-        selector = _VirtualSelector()
-        super().__init__(selector)
-        selector.loop = self
-
-    def time(self) -> float:
-        """The current virtual time, in seconds."""
-        return self._virtual_now
-
-    def advance(self, seconds: float) -> None:
-        """Jump the virtual clock forward (used by the selector shim)."""
-        if seconds < 0:
-            raise ValueError("virtual time cannot move backwards")
-        self._virtual_now += seconds
-
-
-def run_virtual(
-    main: Coroutine[Any, Any, Any],
-    start: float = 0.0,
-    check_leaks: bool = True,
-) -> Any:
-    """Run ``main`` to completion on a fresh virtual-clock loop.
-
-    Parameters
-    ----------
-    main:
-        The coroutine to drive.  Timers inside it resolve on virtual
-        time; the call returns as fast as the CPU allows regardless of
-        how many simulated hours elapse.
-    start:
-        Initial value of ``loop.time()``.
-    check_leaks:
-        When True (the default, and what the service test harness
-        relies on), any task still pending after ``main`` returns is
-        cancelled and reported via :class:`TaskLeakError`.  The service
-        must shut its workers down; tests get leak detection for free.
-
-    Returns the coroutine's result.  The loop is always closed before
-    returning or raising.
-    """
-    loop = VirtualClockEventLoop(start=start)
-    try:
-        asyncio.set_event_loop(loop)
+    def _step(self, task: _Task) -> None:
+        error = task.error
+        if task.must_cancel:
+            task.must_cancel = False
+            if not isinstance(error, TaskCancelled):
+                error = TaskCancelled()
+        if error is not None and not self._take_error(task, error):
+            return
         try:
-            result = loop.run_until_complete(main)
-        except BaseException:
-            # A deadlock (or any escaped exception) leaves tasks pending;
-            # unwind them so nothing is destroyed while still running.
-            stranded = [
-                task for task in asyncio.all_tasks(loop) if not task.done()
-            ]
-            for task in stranded:
-                task.cancel()
-            if stranded:
-                try:
-                    loop.run_until_complete(
-                        asyncio.gather(*stranded, return_exceptions=True)
-                    )
-                except VirtualTimeDeadlock:
-                    pass
-            raise
-        leftover = [task for task in asyncio.all_tasks(loop) if not task.done()]
-        if leftover:
-            for task in leftover:
-                task.cancel()
-            # Give the cancelled tasks one pass to unwind their frames so
-            # no "task was destroyed but it is pending" warnings escape.
-            loop.run_until_complete(
-                asyncio.gather(*leftover, return_exceptions=True)
-            )
-            if check_leaks:
-                raise TaskLeakError([task.get_name() for task in leftover])
-        return result
-    finally:
-        asyncio.set_event_loop(None)
-        loop.close()
+            if error is not None:
+                yielded = task.gen.throw(error)
+            elif task.value is None:
+                yielded = task.gen.send(self.now)
+            else:
+                value, task.value, task.group = task.value, None, None
+                yielded = task.gen.send(None if value is _START else value)
+            while yielded.__class__ is list and not yielded:
+                yielded = task.gen.send([])
+        except StopIteration as stop:
+            self._finish(task, stop.value, None)
+            return
+        except BaseException as failure:
+            self._finish(task, None, failure)
+            return
+        if yielded.__class__ is list:
+            children = [_Task(child) for child in yielded]
+            group = task.group = _Group(task, children)
+            for child in children:
+                child.groups.append(group)
+                self._ready.append(child)
+        elif yielded > 0:
+            entry = task.timer = [self.now + yielded, task]
+            heappush(self._timers, entry)
+        else:
+            self._ready.append(task)
+
+    def _take_error(self, task: _Task, error: BaseException) -> bool:
+        """Prepare a step that raises ``error`` in ``task``; False when the
+        step is the clean-up of a failed fan-out instead."""
+        task.error = task.value = None
+        entry = task.timer
+        if entry is not None:
+            # Cancelled asleep: its timer is flagged if still on the heap.
+            task.timer = None
+            if entry[1] is not None:
+                entry[1] = None
+                self._flagged += 1
+        group = task.group
+        if group is None:
+            return True
+        task.group = None
+        if group.failure is not None:
+            return True
+        # A child failed (or the parent was cancelled): cancel the
+        # children, then wait for every one of them to finish.
+        children = group.children
+        for child in children:
+            self._cancel(child)
+        cleanup = task.group = _Group(task, children, failure=error)
+        for child in children:
+            if child.done:
+                self._ready.append((cleanup, child))
+            else:
+                child.groups.append(cleanup)
+        return False
+
+    def _finish(self, task: _Task, result, failure) -> None:
+        task.done = True
+        task.result = result
+        task.failure = failure
+        for group in task.groups:
+            self._ready.append((group, task))
+        # Leave no cycle through the groups: a finished day's fan-out is
+        # freed by reference counting, not held until a full collection.
+        task.groups.clear()
+
+    def _child_done(self, group: _Group, child: _Task) -> None:
+        group.finished += 1
+        if group.done:
+            return
+        waiter = group.waiter
+        if group.failure is None and child.failure is not None:
+            group.done = True
+            waiter.error = child.failure
+            self._ready.append(waiter)
+        elif group.finished == len(group.children):
+            group.done = True
+            if group.cancel_requested:
+                waiter.error = TaskCancelled()
+            elif group.failure is not None:
+                waiter.error = group.failure
+            else:
+                waiter.value = [child.result for child in group.children]
+            self._ready.append(waiter)
+
+    def _cancel(self, task: _Task) -> bool:
+        """Cancel ``task``; False when it has already finished."""
+        if task.done:
+            return False
+        if task.timer is not None and task.error is None:
+            # Asleep: it takes the cancellation in the next pass.
+            task.error = TaskCancelled()
+            self._ready.append(task)
+            return True
+        group = task.group
+        if group is not None and not group.done:
+            cancelled = False
+            for child in group.children:
+                if self._cancel(child):
+                    cancelled = True
+            if cancelled:
+                group.cancel_requested = True
+                return True
+        task.must_cancel = True
+        return True

@@ -200,6 +200,15 @@ class AppendLog:
         self._buffered += len(rows)
         self._cache = None
 
+    def tail(self, name: str, n: int) -> np.ndarray:
+        """The last ``n`` values of one column.  Rows still in the append
+        buffer are read from it, so reading what was just appended seals
+        nothing."""
+        if n <= self._buffered:
+            values = self._buffers[name]
+            return np.array(values[len(values) - n:], dtype=self.schema[name])
+        return self.arrays()[name][len(self) - n:]
+
     def _load_base(self) -> Optional[Dict[str, np.ndarray]]:
         if self._loader is None:
             return None

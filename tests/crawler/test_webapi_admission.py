@@ -8,8 +8,6 @@ concurrently on the virtual clock) and pin down the corruption
 round-trip the crawler relies on to detect broken pages.
 """
 
-import asyncio
-
 import pytest
 
 from repro.crawler.ratelimit import RateLimitExceeded
@@ -28,7 +26,7 @@ from repro.resilience.faults import (
     FaultPlan,
     TransientFault,
 )
-from repro.service.virtualtime import run_virtual
+from repro.service.virtualtime import Scheduler
 
 
 @pytest.fixture(scope="module")
@@ -206,22 +204,20 @@ class TestConcurrentAdmission:
         rate are never throttled, and the store serves every request."""
         api = StoreWebApi(store, requests_per_second=5.0)
         app_ids = store.listed_app_ids()[:10]
+        scheduler = Scheduler()
 
-        async def polite_client(name):
-            loop = asyncio.get_running_loop()
+        def polite_client(name):
             served = 0
             for app_id in app_ids:
-                api.app_page(app_id, name, "us", now=loop.time())
+                api.app_page(app_id, name, "us", now=scheduler.now)
                 served += 1
-                await asyncio.sleep(1.0 / 5.0)
+                yield 1.0 / 5.0
             return served
 
-        async def main():
-            return await asyncio.gather(
-                *(polite_client(f"c{index}") for index in range(4))
-            )
+        def main():
+            return (yield [polite_client(f"c{index}") for index in range(4)])
 
-        served = run_virtual(main())
+        served = scheduler.run(main())
         assert served == [10, 10, 10, 10]
         assert api.requests_served == 40
         assert not any(api.is_blacklisted(f"c{index}") for index in range(4))
@@ -234,33 +230,32 @@ class TestConcurrentAdmission:
         )
         app_ids = store.listed_app_ids()[:8]
         outcome = {"greedy_served": 0, "greedy_denied": 0}
+        scheduler = Scheduler()
 
-        async def greedy():
-            loop = asyncio.get_running_loop()
+        def greedy():
             for _ in range(40):
                 try:
-                    api.app_page(app_ids[0], "greedy", "us", now=loop.time())
+                    api.app_page(app_ids[0], "greedy", "us", now=scheduler.now)
                     outcome["greedy_served"] += 1
                 except RateLimitExceeded:
                     outcome["greedy_denied"] += 1
                 except GeoBlockedError:
                     # Blacklisted: the store has cut this client off.
                     break
-                await asyncio.sleep(0.01)
+                yield 0.01
 
-        async def polite(name):
-            loop = asyncio.get_running_loop()
+        def polite(name):
             served = 0
             for app_id in app_ids:
-                api.app_page(app_id, name, "us", now=loop.time())
+                api.app_page(app_id, name, "us", now=scheduler.now)
                 served += 1
-                await asyncio.sleep(1.0)
+                yield 1.0
             return served
 
-        async def main():
-            results = await asyncio.gather(greedy(), polite("p1"), polite("p2"))
+        def main():
+            results = yield [greedy(), polite("p1"), polite("p2")]
             return results[1:]
 
-        assert run_virtual(main()) == [8, 8]
+        assert scheduler.run(main()) == [8, 8]
         assert api.is_blacklisted("greedy")
         assert outcome["greedy_denied"] >= 10

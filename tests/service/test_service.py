@@ -20,7 +20,6 @@ from repro.resilience.chaos import estimate_crawl_horizon
 from repro.resilience.faults import FaultKind, named_plan
 from repro.resilience.retry import RetryPolicy
 from repro.service import EcosystemService
-from repro.service.virtualtime import run_virtual
 from repro.stats.zipf import fit_zipf_exponent_mle
 
 SEED = 20260808
@@ -100,6 +99,22 @@ class TestBatchParity:
         )
         assert report.apks_archived == len(service.database.columnar.apk_log(store))
 
+    def test_clients_count_the_apks_and_comments_their_visits_kept(self):
+        _, report, _ = run_service(3)
+        stats = list(report.client_stats.values())
+        assert sum(s.apks_fetched for s in stats) == report.apks_archived > 0
+        assert (
+            sum(s.comments_fetched for s in stats) == report.comments_ingested > 0
+        )
+        # Every client's visits kept some rows, not one client all of them.
+        assert all(s.apks_fetched > 0 and s.comments_fetched > 0 for s in stats)
+
+    def test_one_client_counts_as_the_batch_crawler(self, batch):
+        _, report, _ = run_service(1)
+        (stats,) = report.client_stats.values()
+        assert stats.apks_fetched == batch.crawler.stats.apks_fetched > 0
+        assert stats.comments_fetched == batch.crawler.stats.comments_fetched > 0
+
     def test_data_plane_is_invariant_in_client_count(self):
         snapshots = []
         for n_clients in (1, 2, 4):
@@ -142,15 +157,13 @@ class TestDeterminism:
         assert texts[0] == texts[1] == texts[2]
 
     def test_incremental_serving_accumulates_to_the_same_dataset(self, batch):
-        """Serving 2 days then 1 more on a live loop equals serving 3."""
+        """Serving 2 days and then 1 more equals serving 3: the second
+        ``run()`` continues the first one's clock."""
         with use_registry(MetricsRegistry()):
             service = EcosystemService(small_profile(), seed=SEED, n_clients=2)
-
-            async def main():
-                await service.serve(days=2)
-                return await service.serve(days=1)
-
-            report = run_virtual(main())
+            first = service.run(days=2)
+            report = service.run(days=1)
+        assert first.days_crawled == 2
         assert report.days_crawled == DAYS
         assert report.fingerprint == batch.database.fingerprint()
 
@@ -257,9 +270,9 @@ class TestSupervision:
 @pytest.mark.slow
 class TestSoak:
     def test_hundreds_of_ticks_under_aggressive_faults(self):
-        """The long-haul invariants: no task leaks (run_virtual would
-        raise), no unbounded queues, restart accounting consistent with
-        the plan, and the analytics still exactly batch-equal at the end.
+        """The long-haul invariants: no unbounded queues, restart
+        accounting consistent with the plan, and the analytics still
+        exactly batch-equal at the end.
         """
         profile = demo_profile(
             initial_apps=40,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.crawler.database import AppSnapshot
+from repro.obs.metrics import get_registry
 from repro.store import ColumnarStore
 from repro.store.chunks import ApkLog, CommentLog, SnapshotChunk
 from repro.store.dictionary import StringInterner, TupleInterner
@@ -147,6 +148,18 @@ class TestLogs:
         columns = log.arrays()
         assert columns["seq"].tolist() == [0, 1, 2]
         assert columns["app_id"].tolist() == [1, 2, 1]
+
+    def test_tail_reads_the_last_rows_without_sealing(self):
+        log = CommentLog("s")
+        log.extend([(9, 1, 0, 5), (1, 2, 0, 3)])
+        log.arrays()
+        log.extend([(4, 3, 1, 2), (5, 4, 1, 1)])
+        sealed = get_registry().counter("store.chunks_sealed").value
+        assert log.tail("app_id", 2).tolist() == [3, 4]
+        assert log.tail("app_id", 0).tolist() == []
+        assert get_registry().counter("store.chunks_sealed").value == sealed
+        # Rows older than the buffer come from the sealed segments.
+        assert log.tail("app_id", 3).tolist() == [2, 3, 4]
 
 
 class TestColumnarQueries:
