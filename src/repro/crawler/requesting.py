@@ -1,17 +1,18 @@
 """Sans-IO request engine shared by the batch crawler and the service.
 
 The retry/breaker/pacing ladder in :class:`~repro.crawler.crawler.StoreCrawler`
-must behave *identically* whether it is driven synchronously (batch
-campaigns advance a private simulated clock) or asynchronously (the
-always-on service's clients sleep on the virtual event loop).  Rather
-than maintain two copies of that ladder, this module expresses it once
-as a **generator protocol**:
+must behave *identically* whether it is driven on its own (batch
+campaigns advance a private simulated clock) or as one of many
+concurrent tasks (the always-on service's clients sleep on the virtual
+clock of :class:`~repro.service.virtualtime.Scheduler`).  Rather than
+maintain two copies of that ladder, this module expresses it once as a
+**generator protocol**:
 
 - :meth:`RequestEngine.request_steps` yields every point where the
   caller must let time pass, as a non-negative number of seconds;
 - the driver advances its notion of "now" by that amount (``clock +=
-  delay`` for the sync crawler, ``await asyncio.sleep(delay)`` for an
-  async client) and ``send()``s the new timestamp back in;
+  delay`` for the batch crawler; a service client's task yields the
+  delay to its scheduler) and ``send()``s the new timestamp back in;
 - the endpoint's result comes back as the generator's return value
   (``StopIteration.value``), and failures propagate as the same
   exceptions the crawler has always raised (:class:`CrawlError`,

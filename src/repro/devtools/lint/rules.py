@@ -574,10 +574,10 @@ class WallClockInServiceRule(Rule):
     code = "RPL040"
     name = "wall-clock-in-service"
     summary = (
-        "repro/service modules run on the virtual clock; read time via "
-        "the running event loop's loop.time() and wait via asyncio.sleep "
-        "-- any time.*/datetime wall-clock call (or time.sleep) breaks "
-        "the deterministic-replay and instant-soak contracts"
+        "repro/service modules run on the scheduler's virtual clock; read "
+        "time via scheduler.now and wait by yielding a delay from the "
+        "task -- any time.*/datetime wall-clock call (or time.sleep) "
+        "breaks the deterministic-replay and instant-soak contracts"
     )
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -585,9 +585,9 @@ class WallClockInServiceRule(Rule):
             dotted = self.module.resolve_dotted(node.func)
             if dotted in _WALL_TIME_CALLS:
                 if dotted == "time.sleep":
-                    hint = "await asyncio.sleep(...) on the running loop"
+                    hint = "a yielded delay (`yield seconds` in the task)"
                 else:
-                    hint = "asyncio.get_running_loop().time()"
+                    hint = "the scheduler's clock (`scheduler.now`)"
                 self.report(
                     node,
                     f"{dotted} reads the wall clock inside the "

@@ -551,11 +551,10 @@ FIXTURES: Tuple[RuleFixture, ...] = (
             "def stamp():\n"
             "    return time.monotonic()\n"
         ),
-        # The virtual-clock idiom: time comes from the running loop.
+        # The virtual-clock idiom: time comes from the scheduler.
         quiet=(
-            "import asyncio\n"
-            "async def stamp():\n"
-            "    return asyncio.get_running_loop().time()\n"
+            "def stamp(scheduler):\n"
+            "    return scheduler.now\n"
         ),
         path=SERVICE_PATH,
     ),
@@ -563,13 +562,12 @@ FIXTURES: Tuple[RuleFixture, ...] = (
         code="RPL040",
         flagged=(
             "import time\n"
-            "async def pace():\n"
+            "def pace():\n"
             "    time.sleep(0.5)\n"
         ),
         quiet=(
-            "import asyncio\n"
-            "async def pace():\n"
-            "    await asyncio.sleep(0.5)\n"
+            "def pace():\n"
+            "    yield 0.5\n"
         ),
         path=SERVICE_PATH,
     ),
