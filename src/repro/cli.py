@@ -651,13 +651,15 @@ def _run_serve(args) -> int:
     report = service.run()
     print(report.describe())
 
-    slope = service.analytics.zipf.value
-    shares = service.analytics.pareto.shares()
-    if slope is not None and shares is not None:
+    gauges = service.data_metrics.snapshot()["gauges"]
+    slope = gauges.get("streaming.zipf_slope")
+    if slope is not None:
+        top_1pct = gauges["streaming.pareto_top_1pct"]
+        top_10pct = gauges["streaming.pareto_top_10pct"]
         print(
             f"streaming analytics: zipf slope {slope:.3f}, top 1% -> "
-            f"{shares['top_1pct'] * 100:.1f}% of downloads, top 10% -> "
-            f"{shares['top_10pct'] * 100:.1f}% (gini {shares['gini']:.3f})"
+            f"{top_1pct * 100:.1f}% of downloads, top 10% -> "
+            f"{top_10pct * 100:.1f}% (gini {gauges['streaming.gini']:.3f})"
         )
     print(f"dataset fingerprint sha256:{report.fingerprint}")
 

@@ -12,6 +12,8 @@ import json
 
 import pytest
 
+from repro.analysis.streaming import StreamingAnalytics
+from repro.crawler.database import SnapshotDatabase
 from repro.crawler.scheduler import run_crawl_campaign
 from repro.marketplace.profiles import demo_profile
 from repro.obs.manifest import RunManifest, strip_wall_clock, write_metrics_jsonl
@@ -20,7 +22,7 @@ from repro.resilience.chaos import estimate_crawl_horizon
 from repro.resilience.faults import FaultKind, named_plan
 from repro.resilience.retry import RetryPolicy
 from repro.service import EcosystemService
-from repro.stats.zipf import fit_zipf_exponent_mle
+from tests.properties.test_streaming_properties import batch_gauges
 
 SEED = 20260808
 DAYS = 3
@@ -203,30 +205,38 @@ class TestUnderFaults:
         )
 
 
+def streaming_gauges(service):
+    """The ``streaming.*`` gauges of a service's data plane."""
+    gauges = service.data_metrics.snapshot()["gauges"]
+    return {key: value for key, value in gauges.items() if key.startswith("streaming.")}
+
+
 class TestStreamingAnalytics:
     def test_final_tick_matches_batch_analysis_exactly(self):
-        """On the last day the streaming estimators ARE the batch ones."""
+        """On the last day the served gauges ARE the batch analyses of
+        the committed download column."""
         service, report, _ = run_service(2)
         store = service.store.name
-        downloads = service.database.download_vector(
-            store, report.last_crawl_day
-        )
-        positive = downloads[downloads > 0]
-        positive = positive[positive.argsort()[::-1]].astype(float)
+        gauges = streaming_gauges(service)
+        assert gauges == batch_gauges(service.database, store, report.last_crawl_day)
+        assert "streaming.zipf_slope" in gauges
+        assert gauges["streaming.apps_tracked"] == float(len(service.database.app_ids(store)))
+        assert gauges["streaming.snapshots_seen"] == float(report.snapshots_committed)
 
-        state_vector = service.analytics.state.positive_downloads()
-        assert (state_vector == positive).all()
-        slope = service.analytics.zipf.value
-        assert slope == fit_zipf_exponent_mle(positive)
-
-        gauges = service.data_metrics.snapshot()["gauges"]
-        assert gauges["streaming.zipf_slope"] == slope
-        assert gauges["streaming.apps_tracked"] == float(
-            service.analytics.state.n_apps
-        )
-        assert gauges["streaming.snapshots_seen"] == float(
-            report.snapshots_committed
-        )
+    def test_gauges_from_a_saved_or_packed_copy_equal_the_live_ones(self, tmp_path):
+        """A JSONL round trip and a packed copy of a served database give
+        back the live gauges: the gauges need no state beyond the data."""
+        service, report, _ = run_service(2)
+        live = streaming_gauges(service)
+        service.database.save(tmp_path / "served.jsonl")
+        service.database.pack(tmp_path / "served.cstore")
+        for path in (tmp_path / "served.jsonl", tmp_path / "served.cstore"):
+            copy = SnapshotDatabase.load(path)
+            metrics = MetricsRegistry()
+            StreamingAnalytics(service.store.name).export(
+                copy, report.last_crawl_day, metrics
+            )
+            assert metrics.snapshot()["gauges"] == live
 
     def test_quantile_gauges_are_exported_and_ordered(self):
         service, _, _ = run_service(1)
@@ -318,15 +328,11 @@ class TestSoak:
                 assert counters[f"faults.injected.{kind.value}"] == count
         assert report.worker_restarts == fired[FaultKind.WORKER_CRASH]
 
-        downloads = service.database.download_vector(
-            service.store.name, report.last_crawl_day
+        gauges = streaming_gauges(service)
+        assert gauges == batch_gauges(
+            service.database, service.store.name, report.last_crawl_day
         )
-        positive = downloads[downloads > 0]
-        positive = positive[positive.argsort()[::-1]].astype(float)
-        assert (
-            service.analytics.state.positive_downloads() == positive
-        ).all()
-        assert service.analytics.zipf.value == fit_zipf_exponent_mle(positive)
+        assert "streaming.zipf_slope" in gauges
 
 
 class TestSegmentAnalytics:
@@ -345,7 +351,7 @@ class TestSegmentAnalytics:
 
     def test_segment_gauges_match_store_matrix(self):
         service, _ = self._run_segmented(2)
-        assert service.segment_analytics is not None
+        assert service.store.segments is not None
         matrix = service.store.segment_download_counts()
         gauges = service.data_metrics.snapshot()["gauges"]
         names = service.store.segments.names
@@ -374,6 +380,6 @@ class TestSegmentAnalytics:
 
     def test_unsegmented_profile_exports_no_segment_gauges(self):
         service, _, _ = run_service(1)
-        assert service.segment_analytics is None
+        assert service.store.segments is None
         gauges = service.data_metrics.snapshot()["gauges"]
         assert not any(k.startswith("streaming.segment.") for k in gauges)
