@@ -95,3 +95,12 @@ class TestLoadGenerator:
         histograms = traffic.snapshot()["histograms"]
         latency = histograms["service.request_seconds"]
         assert latency["count"] == report.requests_ok
+
+    def test_a_second_run_loads_the_store_warmed_once(self):
+        generator, _, _ = run_loadgen(seed=1, n_clients=2, requests_per_client=10)
+        warmup_days = tiny_profile().warmup_days
+        assert generator.store.day == warmup_days
+        with use_registry(MetricsRegistry()):
+            report = generator.run()
+        assert generator.store.day == warmup_days
+        assert report.requests_ok == 20
