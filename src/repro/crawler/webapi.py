@@ -47,7 +47,6 @@ class AppPage:
     price: float
     declares_ads: bool
     statistics: AppStatistics
-    version_names: Tuple[str, ...]
 
 
 def corrupted_page(page: AppPage) -> AppPage:
@@ -65,7 +64,7 @@ def corrupted_page(page: AppPage) -> AppPage:
         version_name="",
         price=page.price,
     )
-    return replace(page, name="", statistics=broken, version_names=())
+    return replace(page, name="", statistics=broken)
 
 
 def page_is_corrupt(page: AppPage) -> bool:
@@ -224,7 +223,6 @@ class StoreWebApi:
             price=app.price,
             declares_ads=app.declares_ads,
             statistics=self._store.statistics(app_id),
-            version_names=tuple(v.version_name for v in app.versions),
         )
         if self._faults is not None and self._faults.take(
             now, FaultKind.CORRUPT_SNAPSHOT, detail=f"corrupted page of app {app_id}"

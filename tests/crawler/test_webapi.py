@@ -61,7 +61,6 @@ class TestAppPage:
         assert page.app_id == app_id
         assert page.statistics.total_downloads >= 0
         assert page.category
-        assert page.version_names
 
     def test_comments_endpoint(self, store):
         api = open_api(store)

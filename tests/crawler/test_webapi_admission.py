@@ -171,10 +171,9 @@ class TestCorruptionRoundTrip:
         # Identity fields survive so logs can still say *which* app broke.
         assert broken.app_id == page.app_id
         assert broken.price == page.price
-        # The payload is gone: name blanked, stats poisoned, versions cut.
+        # The payload is gone: name blanked, stats poisoned.
         assert broken.name == ""
         assert broken.statistics.total_downloads < 0
-        assert broken.version_names == ()
 
     def test_every_poisoned_field_alone_trips_validation(self, store):
         api = StoreWebApi(store)

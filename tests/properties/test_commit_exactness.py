@@ -87,7 +87,6 @@ def observation(visit):
         price=statistics.price,
         declares_ads=bool(downloads % 2),
         statistics=statistics,
-        version_names=(version,),
     )
     apk = None
     if fetched:  # the store holds still: the APK is the page's version
